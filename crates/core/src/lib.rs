@@ -60,7 +60,8 @@ pub use cost::{binding_env, stmt_workspaces};
 pub use error::CoreError;
 pub use fingerprint::fingerprint;
 pub use schedule::{
-    default_verify_mode, CompiledKernel, DegradeRung, FallbackEvent, IndexStmt, SupervisedOutcome,
+    default_verify_mode, BudgetPlan, CompiledKernel, DegradeRung, FallbackEvent, IndexStmt,
+    LadderRung, SupervisedOutcome,
 };
 pub use taco_verify::{
     analyze_cost, Bound, ChargeBound, CostEnv, CostReport, Diagnostic, OutputBound, Severity,

@@ -4,6 +4,8 @@
 use crate::bind::{bind_operand, bind_result, extract_result};
 use crate::cost::stmt_workspaces;
 use crate::Result;
+use std::borrow::{Borrow, Cow};
+use std::collections::VecDeque;
 use taco_ir::concrete::ConcreteStmt;
 use taco_ir::concretize::concretize;
 use taco_ir::expr::{IndexExpr, IndexVar, TensorVar};
@@ -209,134 +211,135 @@ impl IndexStmt {
         budget: ResourceBudget,
         verify: VerifyMode,
     ) -> Result<CompiledKernel> {
-        let mut opts = opts;
-        let mut fallbacks = Vec::new();
-        let mut concrete = &self.concrete;
-        let fallback_concrete;
-        // Lowering already done on the budget path is reused below rather
-        // than repeated.
-        let mut prelowered: Option<LoweredKernel> = None;
-        if let Some(limit) = budget.max_workspace_bytes {
-            if opts.workspace_kind == WorkspaceKind::Dense {
-                let ws_vars = stmt_workspaces(&self.concrete);
-                // The *proven* footprint of the dense lowering, from the
-                // symbolic cost analyzer. Dense workspace bounds close over
-                // declared dimensions alone, so they are concrete at compile
-                // time; a bound the analyzer cannot derive or evaluate trips
-                // the budget (`u64::MAX`).
-                let mut bounds: Vec<(TensorVar, u64)> = Vec::new();
-                if !ws_vars.is_empty() {
-                    if let Ok(lk) = lower(&self.concrete, &opts) {
-                        let cost = analyze_cost(&lk);
-                        let env = CostEnv::from_shapes(&lk);
-                        bounds = ws_vars
-                            .into_iter()
-                            .map(|ws| {
-                                let b = cost
-                                    .workspaces
-                                    .iter()
-                                    .find(|w| w.name == ws.name())
-                                    .and_then(|w| w.bytes.concrete(&env))
-                                    .unwrap_or(u64::MAX);
-                                (ws, b)
-                            })
-                            .collect();
-                        prelowered = Some(lk);
-                    }
-                    // Not lowerable as scheduled: no budget decision to
-                    // make; the error surfaces from the lowering below.
-                }
-                let total: u64 = bounds.iter().map(|(_, b)| *b).fold(0, u64::saturating_add);
-                if !bounds.is_empty() && total > limit {
-                    prelowered = None;
-                    // Graceful degradation: before dropping the schedule for
-                    // the direct merge kernel, try the sparse workspace
-                    // backends. Their footprint scales with the entries
-                    // actually touched, not the dense dimension, so the
-                    // compile-time decision is on the analyzer's *initial*
-                    // footprint bound; growth beyond it is charged against
-                    // the budget at run time. Hash is tried first (O(1)
-                    // scatter), coordinate-list second.
-                    let chosen = [WorkspaceKind::Hash, WorkspaceKind::CoordList]
-                        .into_iter()
-                        .find_map(|kind| {
-                            let lk = lower(
-                                &self.concrete,
-                                &opts.clone().with_workspace_kind(kind),
-                            )
-                            .ok()?;
-                            let cost = analyze_cost(&lk);
-                            let env = CostEnv::from_shapes(&lk);
-                            let mut per_ws = Vec::new();
-                            let mut init_total = 0u64;
-                            for (ws, _) in &bounds {
-                                let init = cost
-                                    .workspaces
-                                    .iter()
-                                    .find(|w| w.name == ws.name())
-                                    .and_then(|w| w.init_bytes.concrete(&env))?;
-                                init_total = init_total.saturating_add(init);
-                                per_ws.push(init);
-                            }
-                            (init_total <= limit).then_some((kind, per_ws, lk))
-                        });
-                    if let Some((kind, per_ws, lk)) = chosen {
-                        for ((ws, bound), init) in bounds.iter().zip(&per_ws) {
-                            fallbacks.push(FallbackEvent::WorkspaceDowngraded {
-                                workspace: ws.name().to_string(),
-                                from: WorkspaceKind::Dense,
-                                to: kind,
-                                estimated_bytes: *bound,
-                                downgraded_bytes: *init,
-                                budget_bytes: limit,
-                            });
-                        }
-                        opts = opts.with_workspace_kind(kind);
-                        prelowered = Some(lk);
-                    } else {
-                        for (ws, bound) in &bounds {
-                            fallbacks.push(FallbackEvent::WorkspaceOverBudget {
-                                workspace: ws.name().to_string(),
-                                dims: ws.shape().to_vec(),
-                                estimated_bytes: *bound,
-                                budget_bytes: limit,
-                                fallback: DegradeRung::DirectMerge,
-                            });
-                        }
-                        fallback_concrete = concretize(&self.source)?;
-                        concrete = &fallback_concrete;
-                    }
-                }
-            }
-        }
-        let lowered = match prelowered.map(Ok).unwrap_or_else(|| lower(concrete, &opts)) {
-            Ok(l) => l,
-            // The fallback kernel can be unrealizable where the workspace
-            // kernel was not (a workspace is what makes sparse scatter
-            // lowerable); report that as a budget failure, not a lowering
-            // bug.
-            Err(e) => match fallbacks.first() {
-                Some(FallbackEvent::WorkspaceOverBudget {
-                    workspace,
-                    estimated_bytes,
-                    budget_bytes,
-                    ..
-                }) => {
-                    return Err(crate::CoreError::BudgetExceeded {
-                        resource: BudgetResource::WorkspaceBytes,
-                        limit: *budget_bytes,
-                        requested: *estimated_bytes,
-                        context: Some(workspace.clone()),
-                    })
-                }
-                _ => return Err(e.into()),
-            },
+        let BudgetPlan { concrete, opts, fallbacks, lowered } = self.plan_budget(opts, &budget)?;
+        let lowered = match lowered {
+            Some(lowered) => lowered,
+            None => lower(&concrete, &opts)?,
         };
-        let verify = check_lowered(&lowered, concrete, verify)?;
+        let verify = check_lowered(&lowered, &concrete, verify)?;
         let cost = analyze_cost(&lowered);
         let exe = Executable::compile(&lowered.kernel)?;
         let fingerprint = crate::fingerprint::fingerprint(&self.concrete, &opts, &budget);
         Ok(CompiledKernel { lowered, exe, budget, fallbacks, fingerprint, verify, cost })
+    }
+
+    /// The compile-time workspace budget decision
+    /// ([`IndexStmt::compile_with_budget`]), made without compiling: keep
+    /// the dense workspaces if their proven footprint fits
+    /// `max_workspace_bytes`, else downgrade to the first sparse backend
+    /// (hash map, then coordinate list) whose proven initial footprint
+    /// fits, else drop the workspaces for the direct merge kernel.
+    ///
+    /// The analyzer's dense bounds close over declared dimensions alone, so
+    /// they are concrete at compile time; a bound it cannot derive or
+    /// evaluate trips the budget (`u64::MAX`). Sparse backends are judged
+    /// on their *initial* footprint because their growth is charged against
+    /// the budget at run time. Only requests for dense workspaces with a
+    /// workspace-byte limit are arbitrated; anything else is planned as
+    /// given.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::BudgetExceeded`](crate::CoreError::BudgetExceeded) —
+    /// naming the first workspace and its proven bound — when no backend
+    /// fits and the direct kernel cannot be lowered (e.g. it scatters into
+    /// a sparse result, which is only realizable through a workspace); a
+    /// lowering error when the statement is not realizable as scheduled.
+    pub fn plan_budget(
+        &self,
+        opts: LowerOptions,
+        budget: &ResourceBudget,
+    ) -> Result<BudgetPlan<'_>> {
+        let mut plan = BudgetPlan {
+            concrete: Cow::Borrowed(&self.concrete),
+            opts,
+            fallbacks: Vec::new(),
+            lowered: None,
+        };
+        let Some(limit) = budget.max_workspace_bytes else { return Ok(plan) };
+        if plan.opts.workspace_kind != WorkspaceKind::Dense {
+            return Ok(plan);
+        }
+        let ws_vars = stmt_workspaces(&self.concrete);
+        if ws_vars.is_empty() {
+            return Ok(plan);
+        }
+        let dense = lower(&self.concrete, &plan.opts)?;
+        let cost = analyze_cost(&dense);
+        let env = CostEnv::from_shapes(&dense);
+        let bounds: Vec<(TensorVar, u64)> = ws_vars
+            .into_iter()
+            .map(|ws| {
+                let b = cost
+                    .workspaces
+                    .iter()
+                    .find(|w| w.name == ws.name())
+                    .and_then(|w| w.bytes.concrete(&env))
+                    .unwrap_or(u64::MAX);
+                (ws, b)
+            })
+            .collect();
+        let total: u64 = bounds.iter().map(|(_, b)| *b).fold(0, u64::saturating_add);
+        if total <= limit {
+            plan.lowered = Some(dense);
+            return Ok(plan);
+        }
+        let sparse = [WorkspaceKind::Hash, WorkspaceKind::CoordList].into_iter().find_map(|kind| {
+            let lk = lower(&self.concrete, &plan.opts.clone().with_workspace_kind(kind)).ok()?;
+            let cost = analyze_cost(&lk);
+            let env = CostEnv::from_shapes(&lk);
+            let per_ws = bounds
+                .iter()
+                .map(|(ws, _)| {
+                    cost.workspaces
+                        .iter()
+                        .find(|w| w.name == ws.name())
+                        .and_then(|w| w.init_bytes.concrete(&env))
+                })
+                .collect::<Option<Vec<u64>>>()?;
+            let init_total = per_ws.iter().copied().fold(0, u64::saturating_add);
+            (init_total <= limit).then_some((kind, per_ws, lk))
+        });
+        if let Some((kind, per_ws, lk)) = sparse {
+            for ((ws, bound), init) in bounds.iter().zip(per_ws) {
+                plan.fallbacks.push(FallbackEvent::WorkspaceDowngraded {
+                    workspace: ws.name().to_string(),
+                    from: WorkspaceKind::Dense,
+                    to: kind,
+                    estimated_bytes: *bound,
+                    downgraded_bytes: init,
+                    budget_bytes: limit,
+                });
+            }
+            plan.opts = plan.opts.with_workspace_kind(kind);
+            plan.lowered = Some(lk);
+            return Ok(plan);
+        }
+        for (ws, bound) in &bounds {
+            plan.fallbacks.push(FallbackEvent::WorkspaceOverBudget {
+                workspace: ws.name().to_string(),
+                dims: ws.shape().to_vec(),
+                estimated_bytes: *bound,
+                budget_bytes: limit,
+                fallback: DegradeRung::DirectMerge,
+            });
+        }
+        let direct = concretize(&self.source)?;
+        // The direct kernel can be unrealizable where the workspace kernel
+        // was not (a workspace is what makes sparse scatter lowerable);
+        // that is a budget failure, not a lowering bug.
+        let Ok(lk) = lower(&direct, &plan.opts) else {
+            let (ws, bound) = &bounds[0];
+            return Err(crate::CoreError::BudgetExceeded {
+                resource: BudgetResource::WorkspaceBytes,
+                limit,
+                requested: *bound,
+                context: Some(ws.name().to_string()),
+            });
+        };
+        plan.concrete = Cow::Owned(direct);
+        plan.lowered = Some(lk);
+        Ok(plan)
     }
 
     /// Runs the statement under a [`Supervisor`], descending the degradation
@@ -345,28 +348,14 @@ impl IndexStmt {
     /// The first rung compiles the statement as scheduled (under the
     /// supervisor's budget, so an over-budget workspace already falls back
     /// at compile time). If the run aborts with a *retryable* reason — a
-    /// missed deadline or an exhausted resource budget — the statement is
-    /// re-lowered one rung down the ladder and retried with a fresh
-    /// deadline:
-    ///
-    /// 1. [`DegradeRung::AsScheduled`] — the full schedule (workspace
-    ///    precompute, sorted output);
-    /// 2. [`DegradeRung::HashWorkspace`] — the schedule kept but every
-    ///    workspace stored as a hash map (unordered accumulate, sorted
-    ///    drain) whose footprint scales with the entries touched;
-    /// 3. [`DegradeRung::CoordListWorkspace`] — likewise, with the
-    ///    coordinate-list backend (ordered append with dedup);
-    /// 4. [`DegradeRung::UnsortedAssembly`] — the schedule kept but the
-    ///    output-sort pass dropped (paper §VI, unsorted kernels);
-    /// 5. [`DegradeRung::DirectMerge`] — every transformation dropped and
-    ///    the original statement lowered to the direct merge kernel (the
-    ///    reverse of the Section V-C heuristics).
-    ///
-    /// Every abandoned rung is recorded as a
+    /// missed deadline or an exhausted resource budget — the next rung of
+    /// [`IndexStmt::degrade_ladder`] is compiled and retried with a fresh
+    /// deadline. Every abandoned rung is recorded as a
     /// [`FallbackEvent::DegradedRetry`] in the returned
     /// [`SupervisedOutcome`], so callers can query *why* a result was
     /// slower than scheduled. Cancellation and genuine runtime failures are
-    /// not retried.
+    /// not retried. This is [`IndexStmt::descend`] with an uncached
+    /// [`IndexStmt::compile_with_budget`] and an interpreter run.
     ///
     /// # Errors
     ///
@@ -381,112 +370,170 @@ impl IndexStmt {
         output_structure: Option<&Tensor>,
     ) -> Result<SupervisedOutcome> {
         let budget = supervisor.budget();
-        let mut fallbacks: Vec<FallbackEvent> = Vec::new();
-        let mut last_err: Option<crate::CoreError> = None;
-        for rung in DegradeRung::LADDER {
-            let kernel = match self.compile_rung(rung, &opts, budget, &fallbacks) {
-                Ok(Some(k)) => k,
-                // Rung not applicable (already unsorted, no transformations
-                // to drop, ...): try the next one.
-                Ok(None) => continue,
+        let mut fallbacks = Vec::new();
+        let ((result, report), rung) = self.descend(
+            &opts,
+            &mut fallbacks,
+            |stmt, opts| stmt.compile_with_budget(opts, budget),
+            |kernel| kernel.run_supervised(inputs, output_structure, supervisor),
+        )?;
+        Ok(SupervisedOutcome { result, report, rung, fallbacks })
+    }
+
+    /// The rungs below [`DegradeRung::AsScheduled`], in descent order, each
+    /// with the statement and options to compile for it:
+    ///
+    /// 1. [`DegradeRung::HashWorkspace`] — the schedule kept but every
+    ///    workspace stored as a hash map (unordered accumulate, sorted
+    ///    drain) whose footprint scales with the entries touched;
+    /// 2. [`DegradeRung::CoordListWorkspace`] — likewise, with the
+    ///    coordinate-list backend (ordered append with dedup);
+    /// 3. [`DegradeRung::UnsortedAssembly`] — the schedule kept but the
+    ///    output-sort pass dropped (paper §VI, unsorted kernels);
+    /// 4. [`DegradeRung::DirectMerge`] — every transformation dropped and
+    ///    the original statement lowered to the direct merge kernel (the
+    ///    reverse of the Section V-C heuristics).
+    ///
+    /// A rung is left out when it would not produce a different kernel:
+    /// the schedule has no workspaces or `opts` already asks for that
+    /// backend; the kernel is a compute kernel or already unsorted; the
+    /// direct statement is the schedule itself. `planned` is the fallback
+    /// trail of the as-scheduled compile: a backend or the direct merge
+    /// kernel its [budget plan](IndexStmt::plan_budget) already chose is
+    /// left out too.
+    pub fn degrade_ladder(
+        &self,
+        opts: &LowerOptions,
+        planned: &[FallbackEvent],
+    ) -> Vec<LadderRung> {
+        let mut ladder = Vec::new();
+        let has_workspaces = !stmt_workspaces(&self.concrete).is_empty();
+        for (rung, kind) in [
+            (DegradeRung::HashWorkspace, WorkspaceKind::Hash),
+            (DegradeRung::CoordListWorkspace, WorkspaceKind::CoordList),
+        ] {
+            let planned_kind = planned
+                .iter()
+                .any(|f| matches!(f, FallbackEvent::WorkspaceDowngraded { to, .. } if *to == kind));
+            if has_workspaces && opts.workspace_kind != kind && !planned_kind {
+                let opts = opts.clone().with_workspace_kind(kind);
+                ladder.push(LadderRung { rung, stmt: self.clone(), opts });
+            }
+        }
+        // The sort pass only exists in kernels that assemble; a compute
+        // kernel is unchanged by `unsorted()`.
+        if opts.sort_output && opts.kind != KernelKind::Compute {
+            let (rung, opts) = (DegradeRung::UnsortedAssembly, opts.clone().unsorted());
+            ladder.push(LadderRung { rung, stmt: self.clone(), opts });
+        }
+        let planned_direct =
+            planned.iter().any(|f| matches!(f, FallbackEvent::WorkspaceOverBudget { .. }));
+        if !planned_direct {
+            if let Ok(direct) = IndexStmt::new(self.source.clone()) {
+                if direct.concrete != self.concrete {
+                    let opts = opts.clone();
+                    ladder.push(LadderRung { rung: DegradeRung::DirectMerge, stmt: direct, opts });
+                }
+            }
+        }
+        ladder
+    }
+
+    /// The degrade-and-retry loop: compiles and runs the as-scheduled rung,
+    /// then each rung of [`IndexStmt::degrade_ladder`] in turn while runs
+    /// abort with a retryable reason, and returns the first committed run
+    /// with its rung.
+    ///
+    /// `compile` turns a rung's statement and options into a kernel (the
+    /// engine goes through its kernel cache; [`IndexStmt::run_supervised`]
+    /// compiles directly); a rung it refuses is skipped. `run` executes a
+    /// kernel. `trail` receives the as-scheduled kernel's compile-time
+    /// fallbacks and one [`FallbackEvent::DegradedRetry`] per abandoned
+    /// rung, whether or not a rung commits.
+    ///
+    /// # Errors
+    ///
+    /// The first non-retryable run error; otherwise, when no rung commits,
+    /// the last retryable abort or else the first compile error.
+    pub fn descend<K, T, E>(
+        &self,
+        opts: &LowerOptions,
+        trail: &mut Vec<FallbackEvent>,
+        mut compile: impl FnMut(&IndexStmt, LowerOptions) -> std::result::Result<K, E>,
+        mut run: impl FnMut(&CompiledKernel) -> Result<T>,
+    ) -> std::result::Result<(T, DegradeRung), E>
+    where
+        K: Borrow<CompiledKernel>,
+        E: From<crate::CoreError>,
+    {
+        let mut last_err: Option<E> = None;
+        // The rungs below depend on what the as-scheduled compile's budget
+        // plan chose, so they are built once it has run (and not at all
+        // when it commits).
+        let mut ladder = VecDeque::from([LadderRung {
+            rung: DegradeRung::AsScheduled,
+            stmt: self.clone(),
+            opts: opts.clone(),
+        }]);
+        while let Some(LadderRung { rung, stmt, opts: rung_opts }) = ladder.pop_front() {
+            match compile(&stmt, rung_opts) {
+                Ok(kernel) => {
+                    let kernel = kernel.borrow();
+                    if rung == DegradeRung::AsScheduled {
+                        trail.extend_from_slice(kernel.fallback_events());
+                    }
+                    match run(kernel) {
+                        Ok(committed) => return Ok((committed, rung)),
+                        Err(crate::CoreError::Aborted(aborted))
+                            if aborted.reason.is_retryable() =>
+                        {
+                            trail.push(FallbackEvent::DegradedRetry {
+                                rung,
+                                reason: aborted.reason.clone(),
+                            });
+                            last_err = Some(crate::CoreError::Aborted(aborted).into());
+                        }
+                        // Cancellation, runtime failures, and bind errors
+                        // are not fixed by a degraded schedule.
+                        Err(other) => return Err(other.into()),
+                    }
+                }
                 // Rung not realizable (e.g. direct sparse scatter): try the
                 // next one, but remember why in case nothing works.
                 Err(e) => {
                     last_err.get_or_insert(e);
-                    continue;
                 }
-            };
+            }
             if rung == DegradeRung::AsScheduled {
-                fallbacks.extend(kernel.fallback_events().iter().cloned());
-            }
-            match kernel.run_supervised(inputs, output_structure, supervisor) {
-                Ok((result, report)) => {
-                    return Ok(SupervisedOutcome { result, report, rung, fallbacks })
-                }
-                Err(crate::CoreError::Aborted(aborted)) if aborted.reason.is_retryable() => {
-                    fallbacks.push(FallbackEvent::DegradedRetry {
-                        rung,
-                        reason: aborted.reason.clone(),
-                    });
-                    last_err = Some(crate::CoreError::Aborted(aborted));
-                }
-                // Cancellation, runtime failures, and bind errors are not
-                // fixed by a degraded schedule.
-                Err(other) => return Err(other),
+                ladder.extend(self.degrade_ladder(opts, trail));
             }
         }
-        Err(last_err.expect("at least the as-scheduled rung is always attempted"))
+        Err(last_err.expect("the as-scheduled rung is always attempted"))
     }
+}
 
-    /// Compiles one rung of the degradation ladder, or `None` if the rung
-    /// would not produce a different kernel.
-    fn compile_rung(
-        &self,
-        rung: DegradeRung,
-        opts: &LowerOptions,
-        budget: ResourceBudget,
-        fallbacks: &[FallbackEvent],
-    ) -> Result<Option<CompiledKernel>> {
-        match rung {
-            DegradeRung::AsScheduled => self.compile_with_budget(opts.clone(), budget).map(Some),
-            DegradeRung::HashWorkspace | DegradeRung::CoordListWorkspace => {
-                let kind = if rung == DegradeRung::HashWorkspace {
-                    WorkspaceKind::Hash
-                } else {
-                    WorkspaceKind::CoordList
-                };
-                // Nothing to downgrade when the schedule has no workspaces,
-                // the caller already asked for this backend, or the
-                // compile-time budget fallback already chose it for the
-                // as-scheduled rung.
-                if opts.workspace_kind == kind
-                    || stmt_workspaces(&self.concrete).is_empty()
-                    || fallbacks.iter().any(|f| {
-                        matches!(f, FallbackEvent::WorkspaceDowngraded { to, .. } if *to == kind)
-                    })
-                {
-                    return Ok(None);
-                }
-                self.compile_with_budget(opts.clone().with_workspace_kind(kind), budget).map(Some)
-            }
-            DegradeRung::UnsortedAssembly => {
-                // The sort pass only exists in kernels that assemble; a
-                // compute kernel is unchanged by `unsorted()`.
-                if !opts.sort_output || opts.kind == KernelKind::Compute {
-                    return Ok(None);
-                }
-                self.compile_with_budget(opts.clone().unsorted(), budget).map(Some)
-            }
-            DegradeRung::DirectMerge => {
-                // If the compile-time workspace estimate already forced the
-                // direct kernel, the as-scheduled rung was this one.
-                if fallbacks
-                    .iter()
-                    .any(|f| matches!(f, FallbackEvent::WorkspaceOverBudget { .. }))
-                {
-                    return Ok(None);
-                }
-                let direct = concretize(&self.source)?;
-                if direct == self.concrete {
-                    return Ok(None);
-                }
-                let lowered = lower(&direct, opts)?;
-                let verify = check_lowered(&lowered, &direct, default_verify_mode())?;
-                let cost = analyze_cost(&lowered);
-                let exe = Executable::compile(&lowered.kernel)?;
-                let fingerprint = crate::fingerprint::fingerprint(&direct, opts, &budget);
-                Ok(Some(CompiledKernel {
-                    lowered,
-                    exe,
-                    budget,
-                    fallbacks: Vec::new(),
-                    fingerprint,
-                    verify,
-                    cost,
-                }))
-            }
-        }
-    }
+/// What [`IndexStmt::plan_budget`] chose: the statement and options to
+/// lower, the fallbacks that explain the choice, and the lowering when the
+/// plan already did it.
+#[derive(Debug)]
+pub struct BudgetPlan<'a> {
+    concrete: Cow<'a, ConcreteStmt>,
+    opts: LowerOptions,
+    fallbacks: Vec<FallbackEvent>,
+    lowered: Option<LoweredKernel>,
+}
+
+/// One rung of the degradation ladder: which rung it is and what to
+/// compile for it. Built by [`IndexStmt::degrade_ladder`].
+#[derive(Debug, Clone)]
+pub struct LadderRung {
+    /// Which rung this is.
+    pub rung: DegradeRung,
+    /// The statement to compile: the schedule, or the direct statement for
+    /// [`DegradeRung::DirectMerge`].
+    pub stmt: IndexStmt,
+    /// The lowering options to compile it with.
+    pub opts: LowerOptions,
 }
 
 /// One rung of the degradation ladder

@@ -1,21 +1,26 @@
 //! System C compiler driver and content-addressed shared-object cache.
 //!
-//! The compiler is probed once at construction by building a trivial
-//! shared object; a probe failure (including `CC=/nonexistent`) makes the
-//! whole backend [`NativeError::Unavailable`] so the engine degrades to
-//! the interpreter without ever invoking a broken toolchain per kernel.
+//! The compiler is probed once per process and compiler path by building a
+//! trivial shared object; a probe failure (including `CC=/nonexistent`)
+//! makes the whole backend [`NativeError::Unavailable`] so the engine
+//! degrades to the interpreter without ever invoking a broken toolchain
+//! per kernel.
 //!
 //! Artifacts are cached on disk keyed by kernel fingerprint, an FNV hash
 //! of the full translation unit, and the ABI version — any change to the
 //! kernel, the emitter, or the ABI produces a different file name, so
 //! stale objects are never picked up. Writes are atomic (temp file +
-//! rename) so concurrent processes race benignly.
+//! rename) and every temp file name is unique per call, so concurrent
+//! engines and processes race benignly.
 
 use crate::dl::DynLib;
 use crate::run::NativeKernel;
 use crate::NativeError;
+use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::process::Command;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 use taco_llir::{NativeSource, ABI_VERSION, ENTRY_SYMBOL};
 
@@ -26,6 +31,15 @@ pub fn cache_dir() -> PathBuf {
         Some(dir) if !dir.is_empty() => PathBuf::from(dir),
         _ => std::env::temp_dir().join(format!("taco-native-cache-abi{ABI_VERSION}")),
     }
+}
+
+/// A temp-file stem no other call in any process shares: pid plus a
+/// per-process counter. Engines in one process compile concurrently, so a
+/// name derived from the inputs alone would let them overwrite and delete
+/// each other's files mid-compile.
+fn unique_stem(kind: &str) -> String {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    format!("{kind}-{}-{}", std::process::id(), NEXT.fetch_add(1, Ordering::Relaxed))
 }
 
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -61,6 +75,9 @@ impl NativeCompiler {
     }
 
     /// Probes a specific compiler binary. See [`NativeCompiler::from_env`].
+    /// The probe verdict (the accepted flag set, or the refusal) is
+    /// remembered per process and compiler path; the cache directory is
+    /// re-read on every call.
     pub fn with_cc(cc: &str) -> Result<NativeCompiler, NativeError> {
         if !cfg!(unix) {
             return Err(NativeError::Unavailable("dlopen is unix-only".into()));
@@ -69,28 +86,19 @@ impl NativeCompiler {
         std::fs::create_dir_all(&cache).map_err(|e| {
             NativeError::Unavailable(format!("cannot create cache dir {}: {e}", cache.display()))
         })?;
-
-        // -fwrapv / -fno-strict-aliasing pin down the C semantics the
-        // emitter assumes (wrapping i64, type-punned host buffers); -lm
-        // gives the .so its own libm dependency for fmod/fmin.
-        let base: Vec<String> = ["-std=c11", "-O2", "-fPIC", "-shared", "-fwrapv",
-            "-fno-strict-aliasing"]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-
-        let probe_src = "int taco_probe(void) { return 42; }\n";
-        if !try_compile(cc, &base, probe_src, &cache) {
-            return Err(NativeError::Unavailable(format!(
-                "C compiler `{cc}` failed to build a probe shared object"
-            )));
-        }
-        let mut flags = base.clone();
-        let mut with_omp = base;
-        with_omp.push("-fopenmp".to_string());
-        if try_compile(cc, &with_omp, probe_src, &cache) {
-            flags.push("-fopenmp".to_string());
-        }
+        static VERDICTS: OnceLock<Mutex<HashMap<String, Option<Vec<String>>>>> = OnceLock::new();
+        let flags = VERDICTS
+            .get_or_init(Mutex::default)
+            .lock()
+            .unwrap_or_else(|p| p.into_inner())
+            .entry(cc.to_string())
+            .or_insert_with(|| probe(cc, &cache))
+            .clone()
+            .ok_or_else(|| {
+                NativeError::Unavailable(format!(
+                    "C compiler `{cc}` failed to build a probe shared object"
+                ))
+            })?;
         Ok(NativeCompiler { cc: cc.to_string(), flags, cache })
     }
 
@@ -134,13 +142,9 @@ impl NativeCompiler {
     /// Runs the compiler on `c_source`, atomically installing the result
     /// at `so_path`.
     fn build(&self, c_source: &str, so_path: &Path) -> Result<(), NativeError> {
-        let unique = format!(
-            "{}-{:x}",
-            std::process::id(),
-            fnv1a(so_path.as_os_str().as_encoded_bytes())
-        );
-        let c_path = self.cache.join(format!("build-{unique}.c"));
-        let tmp_so = self.cache.join(format!("build-{unique}.so.tmp"));
+        let unique = unique_stem("build");
+        let c_path = self.cache.join(format!("{unique}.c"));
+        let tmp_so = self.cache.join(format!("{unique}.so.tmp"));
         std::fs::write(&c_path, c_source)
             .map_err(|e| NativeError::CompileFailed(format!("writing TU: {e}")))?;
 
@@ -176,9 +180,32 @@ impl NativeCompiler {
     }
 }
 
+/// The flag set `cc` accepts, or `None` when it cannot build a trivial
+/// shared object. `-fopenmp` is kept only if supported.
+fn probe(cc: &str, scratch: &Path) -> Option<Vec<String>> {
+    // -fwrapv / -fno-strict-aliasing pin down the C semantics the emitter
+    // assumes (wrapping i64, type-punned host buffers); -lm gives the .so
+    // its own libm dependency for fmod/fmin.
+    let mut flags: Vec<String> =
+        ["-std=c11", "-O2", "-fPIC", "-shared", "-fwrapv", "-fno-strict-aliasing"]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
+    let probe_src = "int taco_probe(void) { return 42; }\n";
+    if !try_compile(cc, &flags, probe_src, scratch) {
+        return None;
+    }
+    let mut with_omp = flags.clone();
+    with_omp.push("-fopenmp".to_string());
+    if try_compile(cc, &with_omp, probe_src, scratch) {
+        flags = with_omp;
+    }
+    Some(flags)
+}
+
 /// Compiles a throwaway TU to a throwaway .so; true on success.
 fn try_compile(cc: &str, flags: &[String], src: &str, cache: &Path) -> bool {
-    let unique = format!("probe-{}-{:x}", std::process::id(), fnv1a(flags.join(" ").as_bytes()));
+    let unique = unique_stem("probe");
     let c_path = cache.join(format!("{unique}.c"));
     let so_path = cache.join(format!("{unique}.so"));
     if std::fs::write(&c_path, src).is_err() {

@@ -9,13 +9,12 @@ use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use taco_core::candidates::enumerate_candidates;
-use taco_core::fingerprint::fingerprint_stmt;
 use taco_core::{
-    stmt_workspaces, CompiledKernel, CoreError, DegradeRung, FallbackEvent, IndexStmt,
-    ResourceBudget, Supervisor, SupervisedOutcome, VerifyMode,
+    CompiledKernel, CoreError, FallbackEvent, IndexStmt, ResourceBudget, Supervisor,
+    SupervisedOutcome, VerifyMode,
 };
 use taco_llir::WorkspaceKind;
-use taco_lower::{KernelKind, LowerOptions};
+use taco_lower::LowerOptions;
 use taco_tensor::{Format, Tensor};
 
 /// Engine construction parameters. `EngineConfig::default()` is sized for a
@@ -261,7 +260,7 @@ impl std::fmt::Display for EngineEvent {
     }
 }
 
-/// The result of [`Engine::run_supervised_cached`]: the committed ladder
+/// The result of [`Engine::execute`]: the committed ladder
 /// outcome plus the request-level warm-kernel signal.
 #[derive(Debug, Clone)]
 pub struct SupervisedRun {
@@ -368,16 +367,11 @@ impl Engine {
         self.compile_traced(stmt, opts).map(|(kernel, _)| kernel)
     }
 
-    /// Like [`Engine::compile`], additionally reporting whether the kernel
-    /// was served warm: `true` means a cache hit or a coalesced wait on a
+    /// [`Engine::compile`], additionally reporting whether the kernel was
+    /// served warm: `true` means a cache hit or a coalesced wait on a
     /// concurrent compile of the same fingerprint, `false` means this call
-    /// ran the compile pipeline. The serving layer uses this to count
-    /// per-request coalescing.
-    ///
-    /// # Errors
-    ///
-    /// See [`Engine::compile`].
-    pub fn compile_traced(
+    /// ran the compile pipeline.
+    fn compile_traced(
         &self,
         stmt: &IndexStmt,
         opts: LowerOptions,
@@ -410,61 +404,23 @@ impl Engine {
     ///
     /// Compile errors, or the usual bind/run errors.
     pub fn run(&self, stmt: &IndexStmt, opts: LowerOptions, inputs: &[(&str, &Tensor)]) -> Result<Tensor> {
-        self.run_with(stmt, opts, inputs, None)
-    }
-
-    /// Like [`Engine::run`], with a pre-assembled output structure for
-    /// compute kernels with sparse results.
-    ///
-    /// # Errors
-    ///
-    /// See [`Engine::run`].
-    pub fn run_with(
-        &self,
-        stmt: &IndexStmt,
-        opts: LowerOptions,
-        inputs: &[(&str, &Tensor)],
-        output_structure: Option<&Tensor>,
-    ) -> Result<Tensor> {
         let kernel = self.compile(stmt, opts)?;
-        if let Some(attempt) =
-            self.try_run_native(&kernel, inputs, output_structure, None, self.config.backend)
-        {
-            return attempt.result.map(|(result, _)| result).map_err(Into::into);
-        }
-        Ok(kernel.run_with(inputs, output_structure)?)
+        let (result, _) = self.dispatch(&kernel, inputs, None, None, self.config.backend).result?;
+        Ok(result)
     }
 
-    /// Runs a statement under a [`Supervisor`], descending the
-    /// degrade-and-retry ladder on retryable aborts
-    /// ([`IndexStmt::run_supervised`]) and recording every fallback in the
-    /// engine's event log. The ladder re-lowers per rung, so this path does
-    /// not consult the kernel cache.
+    /// Runs a statement under a [`Supervisor`] — the engine's request path.
     ///
-    /// # Errors
-    ///
-    /// See [`IndexStmt::run_supervised`].
-    pub fn run_supervised(
-        &self,
-        stmt: &IndexStmt,
-        opts: LowerOptions,
-        supervisor: &Supervisor,
-        inputs: &[(&str, &Tensor)],
-        output_structure: Option<&Tensor>,
-    ) -> Result<SupervisedOutcome> {
-        let outcome = stmt.run_supervised(opts, supervisor, inputs, output_structure)?;
-        for e in &outcome.fallbacks {
-            self.push_event(EngineEvent::Fallback(e.clone()));
-        }
-        Ok(outcome)
-    }
-
-    /// Runs a statement under a [`Supervisor`], descending the same
-    /// degrade-and-retry ladder as [`Engine::run_supervised`] — but with
+    /// This is the degrade-and-retry ladder of [`IndexStmt::descend`] with
     /// every rung compiled *through the kernel cache*, so a serving workload
     /// coalesces onto warm kernels: N concurrent requests for one statement
     /// cost one compile (single-flight), and a rung that aborted for an
-    /// earlier request retries from a cached kernel for the next.
+    /// earlier request retries from a cached kernel for the next. Each run
+    /// goes to `backend` ([`Backend::Auto`] defers to
+    /// [`EngineConfig::backend`]); the trust ledger and compiled shared
+    /// objects are engine-wide, so a native-preferring tenant warms them
+    /// for every other tenant. Every abandoned rung is also logged as an
+    /// [`EngineEvent::Fallback`].
     ///
     /// `verify` is enforced per call, on top of the engine-wide
     /// [`EngineConfig::verify`] applied at compile time: under
@@ -475,47 +431,14 @@ impl Engine {
     /// lets one shared engine serve tenants with different verification
     /// policies.
     ///
-    /// Returns the committed [`SupervisedOutcome`] plus whether the *first
-    /// attempted rung* was served from the cache (the request-level
-    /// coalesce/warm signal).
-    ///
     /// # Errors
     ///
     /// [`CoreError::Aborted`] via [`EngineError::Core`] when every viable
     /// rung aborted; compile/bind errors for problems no rung can fix;
     /// [`EngineError::VerifyDenied`] when the only viable kernels are
     /// verify-denied for this caller.
-    pub fn run_supervised_cached(
-        &self,
-        stmt: &IndexStmt,
-        opts: LowerOptions,
-        supervisor: &Supervisor,
-        inputs: &[(&str, &Tensor)],
-        output_structure: Option<&Tensor>,
-        verify: VerifyMode,
-    ) -> Result<SupervisedRun> {
-        self.run_supervised_cached_with_backend(
-            stmt,
-            opts,
-            supervisor,
-            inputs,
-            output_structure,
-            verify,
-            self.config.backend,
-        )
-    }
-
-    /// [`Engine::run_supervised_cached`] with a per-call backend preference
-    /// (e.g. a tenant policy): [`Backend::Auto`] defers to
-    /// [`EngineConfig::backend`], anything else wins for this call. The
-    /// trust ledger and compiled shared objects are engine-wide, so a
-    /// native-preferring tenant warms them for every other tenant.
-    ///
-    /// # Errors
-    ///
-    /// See [`Engine::run_supervised_cached`].
     #[allow(clippy::too_many_arguments)]
-    pub fn run_supervised_cached_with_backend(
+    pub fn execute(
         &self,
         stmt: &IndexStmt,
         opts: LowerOptions,
@@ -526,119 +449,43 @@ impl Engine {
         backend: Backend,
     ) -> Result<SupervisedRun> {
         let backend = backend.resolve_with(self.config.backend);
-        let mut fallbacks: Vec<FallbackEvent> = Vec::new();
-        let mut last_err: Option<EngineError> = None;
-        let mut first_rung_warm: Option<bool> = None;
-        for rung in DegradeRung::LADDER {
-            // Rebuild each rung from public schedule surface: same skip
-            // rules as `IndexStmt::run_supervised`, but expressed through
-            // `LowerOptions` so every rung's kernel is cacheable.
-            let attempt: Option<(IndexStmt, LowerOptions)> = match rung {
-                DegradeRung::AsScheduled => Some((stmt.clone(), opts.clone())),
-                DegradeRung::HashWorkspace | DegradeRung::CoordListWorkspace => {
-                    let kind = if rung == DegradeRung::HashWorkspace {
-                        WorkspaceKind::Hash
-                    } else {
-                        WorkspaceKind::CoordList
-                    };
-                    // Nothing to downgrade when the schedule has no
-                    // workspaces, the caller already asked for this backend,
-                    // or the compile-time budget fallback already chose it.
-                    if opts.workspace_kind == kind
-                        || stmt_workspaces(stmt.concrete()).is_empty()
-                        || fallbacks.iter().any(|f| {
-                            matches!(f, FallbackEvent::WorkspaceDowngraded { to, .. } if *to == kind)
-                        })
-                    {
-                        None
-                    } else {
-                        Some((stmt.clone(), opts.clone().with_workspace_kind(kind)))
-                    }
-                }
-                DegradeRung::UnsortedAssembly => {
-                    if !opts.sort_output || opts.kind == KernelKind::Compute {
-                        None
-                    } else {
-                        Some((stmt.clone(), opts.clone().unsorted()))
-                    }
-                }
-                DegradeRung::DirectMerge => {
-                    // If the compile-time workspace estimate already forced
-                    // the direct kernel, the as-scheduled rung was this one.
-                    if fallbacks
-                        .iter()
-                        .any(|f| matches!(f, FallbackEvent::WorkspaceOverBudget { .. }))
-                    {
-                        None
-                    } else {
-                        match IndexStmt::new(stmt.source().clone()) {
-                            Ok(direct)
-                                if fingerprint_stmt(direct.concrete())
-                                    != fingerprint_stmt(stmt.concrete()) =>
-                            {
-                                Some((direct, opts.clone()))
-                            }
-                            _ => None,
-                        }
-                    }
-                }
-            };
-            let Some((rung_stmt, rung_opts)) = attempt else { continue };
-            let (kernel, warm) = match self.compile_traced(&rung_stmt, rung_opts) {
-                Ok(pair) => pair,
-                // Rung not realizable (e.g. direct sparse scatter): try the
-                // next one, but remember why in case nothing works.
-                Err(e) => {
-                    last_err.get_or_insert(e);
-                    continue;
-                }
-            };
-            first_rung_warm.get_or_insert(warm);
-            if verify == VerifyMode::Deny {
-                if let Some(report) = kernel.verify_report() {
-                    if report.denies() > 0 {
-                        last_err = Some(EngineError::VerifyDenied {
+        let mut fallbacks = Vec::new();
+        let mut first_rung_warm = None;
+        let mut native = false;
+        let committed = stmt.descend(
+            &opts,
+            &mut fallbacks,
+            |rung_stmt, rung_opts| {
+                let (kernel, warm) = self.compile_traced(rung_stmt, rung_opts)?;
+                first_rung_warm.get_or_insert(warm);
+                match kernel.verify_report() {
+                    Some(report) if verify == VerifyMode::Deny && report.denies() > 0 => {
+                        Err(EngineError::VerifyDenied {
                             fingerprint: kernel.fingerprint(),
                             denies: report.denies(),
-                        });
-                        continue;
+                        })
                     }
+                    _ => Ok(kernel),
                 }
-            }
-            if rung == DegradeRung::AsScheduled {
-                fallbacks.extend(kernel.fallback_events().iter().cloned());
-            }
-            let (run_result, native) = match self.try_run_native(
-                &kernel,
-                inputs,
-                output_structure,
-                Some(supervisor),
-                backend,
-            ) {
-                Some(attempt) => (attempt.result, attempt.native),
-                None => (kernel.run_supervised(inputs, output_structure, supervisor), false),
-            };
-            match run_result {
-                Ok((result, report)) => {
-                    return Ok(SupervisedRun {
-                        outcome: SupervisedOutcome { result, report, rung, fallbacks },
-                        cache_hit: first_rung_warm.unwrap_or(false),
-                        native,
-                    });
-                }
-                Err(CoreError::Aborted(aborted)) if aborted.reason.is_retryable() => {
-                    let event =
-                        FallbackEvent::DegradedRetry { rung, reason: aborted.reason.clone() };
-                    self.push_event(EngineEvent::Fallback(event.clone()));
-                    fallbacks.push(event);
-                    last_err = Some(EngineError::Core(CoreError::Aborted(aborted)));
-                }
-                // Cancellation, runtime failures, and bind errors are not
-                // fixed by a degraded schedule.
-                Err(other) => return Err(other.into()),
+            },
+            |kernel| {
+                let dispatched =
+                    self.dispatch(kernel, inputs, output_structure, Some(supervisor), backend);
+                native = dispatched.native;
+                dispatched.result
+            },
+        );
+        for event in &fallbacks {
+            if matches!(event, FallbackEvent::DegradedRetry { .. }) {
+                self.push_event(EngineEvent::Fallback(event.clone()));
             }
         }
-        Err(last_err.expect("at least the as-scheduled rung is always attempted"))
+        let ((result, report), rung) = committed?;
+        Ok(SupervisedRun {
+            outcome: SupervisedOutcome { result, report, rung, fallbacks },
+            cache_hit: first_rung_warm.unwrap_or(false),
+            native,
+        })
     }
 
     /// Picks the best schedule for a statement by measurement, then runs it.
@@ -792,17 +639,14 @@ impl Engine {
                     // candidate's kernel is differential-trusted, later reps
                     // (and the remembered decision's reuse path) time the
                     // compiled shared object instead of the interpreter.
-                    let run_result = match self.try_run_native(
+                    let dispatched = self.dispatch(
                         &kernel,
                         &cand_inputs,
                         None,
                         Some(&supervisor),
                         self.config.backend,
-                    ) {
-                        Some(attempt) => attempt.result,
-                        None => kernel.run_supervised(&cand_inputs, None, &supervisor),
-                    };
-                    match run_result {
+                    );
+                    match dispatched.result {
                         Ok((result, report)) => {
                             let nanos = report.elapsed.as_nanos() as u64;
                             let peak = report.progress.peak_bytes();

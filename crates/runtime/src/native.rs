@@ -2,10 +2,11 @@
 //! cached kernel, with the interpreter as the portable fallback and the
 //! correctness oracle.
 //!
-//! The engine owns one [`NativeStore`]: a lazily probed system C compiler
-//! (probed exactly once per engine — a broken `$CC` costs one failed probe,
-//! not one per kernel) and a per-fingerprint trust ledger. A kernel's native
-//! form moves through three states:
+//! The engine owns one [`NativeStore`]: a lazily built system C compiler
+//! (built once per engine from a probe verdict remembered per process — a
+//! broken `$CC` costs one failed probe, not one per kernel) and a
+//! per-fingerprint trust ledger. A kernel's native form moves through three
+//! states:
 //!
 //! ```text
 //! (no entry) ──compile──▶ Untrusted ──differential check──▶ Trusted
@@ -171,12 +172,11 @@ impl NativeStore {
     }
 }
 
-/// The outcome of one attempted native dispatch. `None` from
-/// [`Engine::try_run_native`] means "not attempted — run the interpreter";
-/// `Some` carries the committed result (or typed error) plus whether the
-/// native kernel itself produced it (`false` on the differential run, which
-/// returns the interpreter's result).
-pub(crate) struct NativeAttempt {
+/// The outcome of one [`Engine::dispatch`]: the committed result (or typed
+/// error) plus whether the native kernel itself produced it (`false` on the
+/// interpreter and on the differential run, which returns the
+/// interpreter's result).
+pub(crate) struct Dispatched {
     pub(crate) result: std::result::Result<(Tensor, ExecReport), CoreError>,
     pub(crate) native: bool,
 }
@@ -188,54 +188,51 @@ impl Engine {
         self.native.stats()
     }
 
-    /// Attempts to serve a run through the native backend. Returns `None`
-    /// when the backend is off or this kernel is rejected — the caller runs
-    /// the interpreter as usual. Returns `Some` when the attempt produced a
-    /// committed result or a typed error that must propagate (supervised
-    /// errors arrive as [`CoreError::Aborted`] so the degrade-and-retry
-    /// ladder treats both backends identically).
-    pub(crate) fn try_run_native(
+    /// Runs a kernel on `backend`: the trusted native kernel when there is
+    /// one, the differential trust check when its native form is new, and
+    /// the interpreter when the backend is off or the kernel was refused.
+    /// Supervised errors arrive as [`CoreError::Aborted`] on either backend,
+    /// so the degrade-and-retry ladder treats both identically.
+    pub(crate) fn dispatch(
         &self,
         kernel: &CompiledKernel,
         inputs: &[(&str, &Tensor)],
         output_structure: Option<&Tensor>,
         supervisor: Option<&Supervisor>,
         backend: Backend,
-    ) -> Option<NativeAttempt> {
-        if !backend.allows_native() {
-            return None;
-        }
+    ) -> Dispatched {
         let fingerprint = kernel.fingerprint();
-        let (nk, trusted) = match self.native.get(fingerprint) {
-            Some(NativeState::Rejected) => return None,
-            Some(NativeState::Trusted(nk)) => (nk, true),
-            Some(NativeState::Untrusted(nk)) => (nk, false),
-            None => (self.acquire_native(kernel)?, false),
+        let native_form = if backend.allows_native() {
+            match self.native.get(fingerprint) {
+                Some(NativeState::Trusted(nk)) => Some((nk, true)),
+                Some(NativeState::Untrusted(nk)) => Some((nk, false)),
+                Some(NativeState::Rejected) => None,
+                None => self.acquire_native(kernel).map(|nk| (nk, false)),
+            }
+        } else {
+            None
+        };
+        let Some((nk, trusted)) = native_form else {
+            return run_interp(kernel, inputs, output_structure, supervisor);
         };
 
         if trusted {
             self.native.native_runs.fetch_add(1, Ordering::Relaxed);
             let result = run_native_once(kernel, &nk, inputs, output_structure, supervisor);
-            return Some(NativeAttempt { result, native: true });
+            return Dispatched { result, native: true };
         }
 
         // Differential trust check: interpreter first (its result is what
         // the caller gets), then the native kernel on a fresh binding.
-        let reference = match supervisor {
-            Some(s) => kernel.run_supervised(inputs, output_structure, s),
-            None => kernel
-                .run_with(inputs, output_structure)
-                .map(|t| (t, ExecReport::default())),
-        };
-        let (ref_result, ref_report) = match reference {
-            Ok(pair) => pair,
+        let reference = run_interp(kernel, inputs, output_structure, supervisor);
+        let Ok((ref_result, _)) = &reference.result else {
             // The interpreter itself failed (deadline, budget, bad
             // operands): the check is inconclusive. Propagate the error and
             // leave the kernel untrusted for the next attempt.
-            Err(e) => return Some(NativeAttempt { result: Err(e), native: false }),
+            return reference;
         };
         match run_native_once(kernel, &nk, inputs, output_structure, supervisor) {
-            Ok((native_result, _)) if native_result == ref_result => {
+            Ok((native_result, _)) if native_result == *ref_result => {
                 self.native.set(fingerprint, NativeState::Trusted(nk));
                 self.native.trusted.fetch_add(1, Ordering::Relaxed);
             }
@@ -249,7 +246,7 @@ impl Engine {
                 format!("native run failed where the interpreter succeeded: {e}"),
             ),
         }
-        Some(NativeAttempt { result: Ok((ref_result, ref_report)), native: false })
+        reference
     }
 
     /// Verify-gates, emits, and compiles the native form of a kernel,
@@ -331,6 +328,21 @@ impl Engine {
         self.native.unavailable.fetch_add(1, Ordering::Relaxed);
         self.push_event(EngineEvent::Fallback(FallbackEvent::NativeUnavailable { reason }));
     }
+}
+
+/// Runs the kernel on the interpreter: supervised when a supervisor is
+/// given, otherwise under the kernel's own budget.
+fn run_interp(
+    kernel: &CompiledKernel,
+    inputs: &[(&str, &Tensor)],
+    output_structure: Option<&Tensor>,
+    supervisor: Option<&Supervisor>,
+) -> Dispatched {
+    let result = match supervisor {
+        Some(s) => kernel.run_supervised(inputs, output_structure, s),
+        None => kernel.run_with(inputs, output_structure).map(|t| (t, ExecReport::default())),
+    };
+    Dispatched { result, native: false }
 }
 
 /// Runs the native kernel once on a fresh binding, under the tighter of

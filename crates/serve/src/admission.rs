@@ -5,17 +5,16 @@
 //! the request is queued or compiled:
 //!
 //! * [`budget_infeasible`] proves a request can never run under its
-//!   tenant's workspace-byte budget — the same decision
-//!   `compile_with_budget` would reach with a `BudgetExceeded` error, made
-//!   at the front door so the doomed request sheds instead of occupying
-//!   queue and compile capacity;
+//!   tenant's workspace-byte budget — it runs the budget plan
+//!   `compile_with_budget` runs and sheds exactly when that plan ends in a
+//!   `BudgetExceeded` error, so the doomed request sheds at the front door
+//!   instead of occupying queue and compile capacity;
 //! * [`service_prior_nanos`] turns the analyzer's iteration bound into a
 //!   service-time prior that seeds the queue-wait estimate before any
 //!   completion has been observed (the EMA cold start).
 
 use crate::server::Request;
-use taco_core::{analyze_cost, stmt_workspaces, CostEnv, IndexStmt, ResourceBudget};
-use taco_llir::WorkspaceKind;
+use taco_core::{analyze_cost, CoreError, CostEnv, ResourceBudget};
 use taco_lower::{lower, LoweredKernel};
 
 /// Nanoseconds charged per bounded loop iteration in the cold-start prior.
@@ -33,71 +32,20 @@ const PRIOR_MAX_NANOS: u64 = 1_000_000_000;
 
 /// Proves a request infeasible under `budget`, or returns `None` when it
 /// might run. `Some((workspace, bound_bytes, limit))` means compiling this
-/// request is guaranteed to fail with a budget error: the analyzer's dense
-/// workspace bound exceeds `max_workspace_bytes`, no sparse backend's
-/// initial footprint fits either, and the statement cannot be lowered
-/// without its workspaces (direct merge is unrealizable). Exactly the
-/// chain `IndexStmt::compile_with_budget` walks before erroring — mirrored
-/// here without compiling, verifying, or queuing anything.
+/// request is guaranteed to fail with a budget error: the compile-time
+/// budget plan ([`taco_core::IndexStmt::plan_budget`]) finds no dense,
+/// sparse or direct-merge kernel that fits — decided without compiling,
+/// verifying, or queuing anything.
 pub(crate) fn budget_infeasible(
     req: &Request,
     budget: &ResourceBudget,
 ) -> Option<(String, u64, u64)> {
-    let limit = budget.max_workspace_bytes?;
-    if req.opts.workspace_kind != WorkspaceKind::Dense {
-        // The compile-time fallback only arbitrates dense workspaces; a
-        // sparse-workspace request is charged at run time.
-        return None;
-    }
-    let ws_vars = stmt_workspaces(req.stmt.concrete());
-    if ws_vars.is_empty() {
-        return None;
-    }
-    let dense = lower(req.stmt.concrete(), &req.opts).ok()?;
-    let cost = analyze_cost(&dense);
-    let env = CostEnv::from_shapes(&dense);
-    // Per-workspace proven bounds; anything unbounded trips the budget,
-    // matching the compile path.
-    let bounds: Vec<(String, u64)> = ws_vars
-        .iter()
-        .map(|ws| {
-            let b = cost
-                .workspaces
-                .iter()
-                .find(|w| w.name == ws.name())
-                .and_then(|w| w.bytes.concrete(&env))
-                .unwrap_or(u64::MAX);
-            (ws.name().to_string(), b)
-        })
-        .collect();
-    let total: u64 = bounds.iter().map(|(_, b)| *b).fold(0, u64::saturating_add);
-    if total <= limit {
-        return None;
-    }
-    // A sparse backend whose initial footprint fits would be downgraded
-    // to, not rejected.
-    for kind in [WorkspaceKind::Hash, WorkspaceKind::CoordList] {
-        let Ok(lk) = lower(req.stmt.concrete(), &req.opts.clone().with_workspace_kind(kind))
-        else {
-            continue;
-        };
-        let cost = analyze_cost(&lk);
-        let env = CostEnv::from_shapes(&lk);
-        if cost.workspace_init_bytes(&env).is_some_and(|init| init <= limit) {
-            return None;
+    match req.stmt.plan_budget(req.opts.clone(), budget) {
+        Err(CoreError::BudgetExceeded { context, requested, limit, .. }) => {
+            Some((context.unwrap_or_default(), requested, limit))
         }
+        _ => None,
     }
-    // The direct merge kernel drops the workspaces entirely; if it lowers,
-    // the compile falls back to it instead of failing.
-    if let Ok(direct) = IndexStmt::new(req.stmt.source().clone()) {
-        if direct.concrete() != req.stmt.concrete()
-            && lower(direct.concrete(), &req.opts).is_ok()
-        {
-            return None;
-        }
-    }
-    let (workspace, bound) = bounds.into_iter().next().expect("ws_vars is non-empty");
-    Some((workspace, bound, limit))
 }
 
 /// A service-time prior for the request, from the analyzer's iteration

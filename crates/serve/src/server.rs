@@ -808,7 +808,7 @@ fn run_job(shared: &Shared, job: Job) {
         .with_cancel_token(token);
     let operand_refs: Vec<(&str, &Tensor)> =
         job.operands.iter().map(|(name, t)| (name.as_str(), &**t)).collect();
-    let outcome = match shared.engine.run_supervised_cached_with_backend(
+    let outcome = match shared.engine.execute(
         &job.stmt,
         job.opts.clone(),
         &supervisor,

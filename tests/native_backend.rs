@@ -267,7 +267,7 @@ fn supervised_runs_report_the_backend_and_trust_transition() {
     // First supervised run is the differential trust check: it commits the
     // interpreter's result, so `native` must read false.
     let first = engine
-        .run_supervised_cached_with_backend(
+        .execute(
             &stmt,
             opts.clone(),
             &supervisor,
@@ -282,7 +282,7 @@ fn supervised_runs_report_the_backend_and_trust_transition() {
 
     // Second run executes on the now-trusted native kernel.
     let second = engine
-        .run_supervised_cached_with_backend(
+        .execute(
             &stmt,
             opts,
             &supervisor,
@@ -300,7 +300,7 @@ fn supervised_runs_report_the_backend_and_trust_transition() {
     );
     // Per-call interpreter pinning overrides the engine default.
     let pinned = engine
-        .run_supervised_cached_with_backend(
+        .execute(
             &stmt,
             LowerOptions::fused("spgemm"),
             &supervisor,
