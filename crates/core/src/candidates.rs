@@ -51,8 +51,7 @@ pub const DIRECT_MERGE: &str = "direct-merge";
 ///
 /// The search space, deduplicated by the code each candidate *generates*:
 /// every candidate is lowered once under canonical options and keyed by the
-/// structural hash of its verified LLIR
-/// ([`fingerprint_kernel`](crate::fingerprint::fingerprint_kernel)), so two
+/// structural hash of its verified LLIR ([`fingerprint_kernel`]), so two
 /// schedules that are spelled differently but lower to identical kernels —
 /// e.g. a reorder of loops that co-iterate anyway — occupy one slot.
 /// Candidates that do not lower under the canonical options are kept,

@@ -13,8 +13,8 @@ use taco_ir::heuristics::{suggest, Suggestion};
 use taco_ir::notation::IndexAssignment;
 use taco_ir::transform;
 use taco_llir::{
-    AbortReason, Binding, BudgetResource, Executable, ExecReport, ResourceBudget, Supervisor,
-    WorkspaceKind,
+    AbortReason, Binding, BudgetResource, Executable, ExecReport, ResourceBudget, RunBody,
+    Supervisor, WorkspaceKind,
 };
 use taco_lower::{lower, KernelKind, LowerOptions, LoweredKernel};
 use taco_tensor::Tensor;
@@ -753,10 +753,10 @@ impl CompiledKernel {
     }
 
     /// Extracts the result tensor from a binding this kernel has already
-    /// executed on — the same extraction [`CompiledKernel::run_with`]
-    /// performs after the interpreter finishes, exposed so alternate
-    /// backends that run [`CompiledKernel::bind`]-produced bindings
-    /// themselves can commit results identically.
+    /// executed on — the extraction step of
+    /// [`CompiledKernel::run_supervised_on`], exposed so callers that run
+    /// [`CompiledKernel::bind`]-produced bindings themselves can commit
+    /// results identically.
     ///
     /// # Errors
     ///
@@ -835,21 +835,19 @@ impl CompiledKernel {
     ///
     /// # Errors
     ///
-    /// See [`CompiledKernel::run`].
+    /// See [`CompiledKernel::run`]. Run failures arrive as
+    /// [`CoreError::BudgetExceeded`](crate::CoreError::BudgetExceeded) or
+    /// [`CoreError::Run`](crate::CoreError::Run), not as aborts.
     pub fn run_with(
         &self,
         inputs: &[(&str, &Tensor)],
         output_structure: Option<&Tensor>,
     ) -> Result<Tensor> {
-        let mut binding = self.bind(inputs, output_structure)?;
-        self.exe.run_with_budget(&mut binding, &self.budget)?;
-        extract_result(
-            &binding,
-            &self.lowered.result,
-            self.lowered.kind,
-            output_structure,
-            self.lowered.nnz_output.as_deref(),
-        )
+        match self.run_supervised_on(&self.exe, inputs, output_structure, &Supervisor::new()) {
+            Ok((result, _)) => Ok(result),
+            Err(crate::CoreError::Aborted(a)) => Err(a.reason.into_run_error().into()),
+            Err(e) => Err(e),
+        }
     }
 
     /// Builds the binding without running — used by benchmarks that want to
@@ -888,10 +886,9 @@ impl CompiledKernel {
         Ok(())
     }
 
-    /// Runs the kernel once under a [`Supervisor`]: transactional outputs,
-    /// deadline and cancellation checked at loop back-edges, and the
-    /// tighter of the supervisor's and this kernel's budgets enforced. No
-    /// degrade-and-retry — see [`IndexStmt::run_supervised`] for the ladder.
+    /// Runs the kernel once on the interpreter under a [`Supervisor`]; see
+    /// [`CompiledKernel::run_supervised_on`]. No degrade-and-retry — see
+    /// [`IndexStmt::run_supervised`] for the ladder.
     ///
     /// # Errors
     ///
@@ -904,22 +901,35 @@ impl CompiledKernel {
         output_structure: Option<&Tensor>,
         supervisor: &Supervisor,
     ) -> Result<(Tensor, ExecReport)> {
-        let mut binding = self.bind(inputs, output_structure)?;
-        let report = self.run_bound_supervised(&mut binding, supervisor)?;
-        let result = extract_result(
-            &binding,
-            &self.lowered.result,
-            self.lowered.kind,
-            output_structure,
-            self.lowered.nnz_output.as_deref(),
-        )?;
-        Ok((result, report))
+        self.run_supervised_on(&self.exe, inputs, output_structure, supervisor)
     }
 
-    /// Runs against an existing binding under a [`Supervisor`]. On abort
-    /// the binding is byte-identical to its pre-run state (the
-    /// transactional guarantee of
-    /// [`ExecSession::run`](taco_llir::ExecSession::run)).
+    /// Bind → run → extract on any execution backend: the interpreter
+    /// ([`CompiledKernel::executable`]) or this kernel's native form. The
+    /// run is one [`Supervisor::run`] of `body`: transactional outputs,
+    /// deadline and cancellation checked at loop back-edges, and the
+    /// tighter of the supervisor's and this kernel's budgets enforced.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::Aborted`](crate::CoreError::Aborted) on
+    /// deadline, cancellation, budget exhaustion or runtime failure, plus
+    /// the usual bind and extract errors.
+    pub fn run_supervised_on<B: RunBody>(
+        &self,
+        body: &B,
+        inputs: &[(&str, &Tensor)],
+        output_structure: Option<&Tensor>,
+        supervisor: &Supervisor,
+    ) -> Result<(Tensor, ExecReport)> {
+        let mut binding = self.bind(inputs, output_structure)?;
+        let report = self.run_bound_on(body, &mut binding, supervisor)?;
+        Ok((self.extract(&binding, output_structure)?, report))
+    }
+
+    /// Runs against an existing binding on the interpreter under a
+    /// [`Supervisor`]. On abort the binding is byte-identical to its
+    /// pre-run state (the transactional guarantee of [`Supervisor::run`]).
     ///
     /// # Errors
     ///
@@ -930,8 +940,18 @@ impl CompiledKernel {
         binding: &mut Binding,
         supervisor: &Supervisor,
     ) -> Result<ExecReport> {
+        self.run_bound_on(&self.exe, binding, supervisor)
+    }
+
+    /// The run step of [`CompiledKernel::run_supervised_on`]: `body` under
+    /// `supervisor` with the tighter of the two budgets.
+    fn run_bound_on<B: RunBody>(
+        &self,
+        body: &B,
+        binding: &mut Binding,
+        supervisor: &Supervisor,
+    ) -> Result<ExecReport> {
         let combined = supervisor.budget().min_with(&self.budget);
-        let supervisor = supervisor.clone().with_budget(combined);
-        Ok(supervisor.run(&self.exe, binding)?)
+        Ok(supervisor.clone().with_budget(combined).run(body, binding)?)
     }
 }

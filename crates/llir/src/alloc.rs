@@ -122,19 +122,24 @@ impl BudgetMeter {
     }
 
     /// Consumes `n` loop iterations from the fuse; the error payload is
-    /// identical to the interpreter's per-iteration consumption.
+    /// identical to the interpreter's per-iteration consumption. A batch
+    /// that overruns exhausts the fuse, so [`BudgetMeter::iterations_done`]
+    /// then reports the limit, as the interpreter's does.
     pub fn consume_iterations(&mut self, n: u64) -> Result<(), RunError> {
         match self.iterations_left.checked_sub(n) {
             Some(left) => {
                 self.iterations_left = left;
                 Ok(())
             }
-            None => Err(RunError::BudgetExceeded {
-                resource: BudgetResource::LoopIterations,
-                limit: self.max_iterations,
-                requested: self.max_iterations.saturating_add(1),
-                array: None,
-            }),
+            None => {
+                self.iterations_left = 0;
+                Err(RunError::BudgetExceeded {
+                    resource: BudgetResource::LoopIterations,
+                    limit: self.max_iterations,
+                    requested: self.max_iterations.saturating_add(1),
+                    array: None,
+                })
+            }
         }
     }
 }

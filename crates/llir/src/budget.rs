@@ -38,6 +38,9 @@ impl std::fmt::Display for BudgetEnvError {
 
 impl std::error::Error for BudgetEnvError {}
 
+/// The environment variable [`ResourceBudget::try_from_env`] reads.
+const BUDGET_ENV_VAR: &str = "TACO_BUDGET_BYTES";
+
 /// Which budgeted resource a violation refers to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BudgetResource {
@@ -62,8 +65,8 @@ impl std::fmt::Display for BudgetResource {
     }
 }
 
-/// Execution resource limits enforced by [`Executable::run_with_budget`]
-/// (crate::Executable::run_with_budget).
+/// Execution resource limits enforced by
+/// [`Executable::run_with_budget`](crate::Executable::run_with_budget).
 ///
 /// Every limit is optional; `None` means unbounded, and
 /// [`ResourceBudget::unlimited`] (also the `Default`) disables everything so
@@ -109,15 +112,22 @@ impl ResourceBudget {
     /// sparse-workspace fallback rungs. Unset means unlimited; a set but
     /// malformed value is a typed [`BudgetEnvError`].
     pub fn try_from_env() -> Result<Self, BudgetEnvError> {
-        const VAR: &str = "TACO_BUDGET_BYTES";
-        match std::env::var(VAR) {
-            Ok(raw) => match raw.trim().parse::<u64>() {
+        ResourceBudget::parse_env(std::env::var(BUDGET_ENV_VAR).ok())
+    }
+
+    /// The pure half of [`ResourceBudget::try_from_env`]: the budget a raw
+    /// `TACO_BUDGET_BYTES` value (`None` when unset) asks for.
+    fn parse_env(raw: Option<String>) -> Result<Self, BudgetEnvError> {
+        match raw {
+            Some(raw) => match raw.trim().parse::<u64>() {
                 Ok(bytes) => Ok(ResourceBudget::unlimited().with_max_workspace_bytes(bytes)),
-                Err(e) => {
-                    Err(BudgetEnvError { var: VAR, value: raw, reason: e.to_string() })
-                }
+                Err(e) => Err(BudgetEnvError {
+                    var: BUDGET_ENV_VAR,
+                    value: raw,
+                    reason: e.to_string(),
+                }),
             },
-            Err(_) => Ok(ResourceBudget::unlimited()),
+            None => Ok(ResourceBudget::unlimited()),
         }
     }
 
@@ -126,13 +136,15 @@ impl ResourceBudget {
     /// stderr (with the offending value and parse reason) and the budget
     /// defaults to unlimited instead of failing silently.
     pub fn from_env() -> Self {
-        match ResourceBudget::try_from_env() {
-            Ok(budget) => budget,
-            Err(e) => {
-                eprintln!("warning: {e}");
-                ResourceBudget::unlimited()
-            }
-        }
+        ResourceBudget::or_unlimited(ResourceBudget::try_from_env())
+    }
+
+    /// Logs a malformed-budget error and falls back to unlimited.
+    fn or_unlimited(parsed: Result<Self, BudgetEnvError>) -> Self {
+        parsed.unwrap_or_else(|e| {
+            eprintln!("warning: {e}");
+            ResourceBudget::unlimited()
+        })
     }
 
     /// Sets the single-allocation (dense workspace) ceiling.
@@ -213,29 +225,25 @@ mod tests {
 
     #[test]
     fn env_budget_parses_or_fails_typed() {
-        // One test function: set/unset of a process-global env var must not
-        // race a parallel test thread.
-        std::env::remove_var("TACO_BUDGET_BYTES");
-        assert!(ResourceBudget::try_from_env().unwrap().is_unlimited());
+        // The parse is tested on raw values: mutating the process
+        // environment would race other test threads reading it.
+        assert!(ResourceBudget::parse_env(None).unwrap().is_unlimited());
 
-        std::env::set_var("TACO_BUDGET_BYTES", " 12000 ");
         assert_eq!(
-            ResourceBudget::try_from_env().unwrap().max_workspace_bytes,
+            ResourceBudget::parse_env(Some(" 12000 ".into())).unwrap().max_workspace_bytes,
             Some(12_000),
             "whitespace-padded value must parse"
         );
 
-        std::env::set_var("TACO_BUDGET_BYTES", "12kb");
-        let err = ResourceBudget::try_from_env().unwrap_err();
+        let err = ResourceBudget::parse_env(Some("12kb".into())).unwrap_err();
         assert_eq!(err.var, "TACO_BUDGET_BYTES");
         assert_eq!(err.value, "12kb");
         let msg = err.to_string();
         assert!(msg.contains("TACO_BUDGET_BYTES") && msg.contains("12kb"), "{msg}");
         // The lenient form still starts (unlimited), but only after the
         // typed error existed to be logged.
-        assert!(ResourceBudget::from_env().is_unlimited());
-
-        std::env::remove_var("TACO_BUDGET_BYTES");
+        let parsed = ResourceBudget::parse_env(Some("12kb".into()));
+        assert!(ResourceBudget::or_unlimited(parsed).is_unlimited());
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! "target code" stage (Figure 6) in a pure-Rust setting.
 
 use crate::alloc::{elem_bytes, AllocSink, BudgetMeter};
-use crate::supervise::SharedProgress;
+use crate::supervise::{RunBody, SharedProgress};
 use crate::{
     ArrayTy, BinOp, BudgetResource, CompileError, Expr, Kernel, ParamKind, ResourceBudget,
     RunError, Stmt, UnOp, WorkspaceKind,
@@ -559,17 +559,20 @@ impl Compiler {
 /// stride of loop iterations after the event.
 pub const SUPERVISION_STRIDE: u32 = 1024;
 
-/// Supervision hooks threaded into one run by
-/// [`ExecSession::run`](crate::ExecSession::run). All-`None` (the `Default`)
-/// runs unsupervised with zero overhead beyond the stride countdown.
-#[derive(Default, Clone, Copy)]
-pub(crate) struct RunControls<'a> {
-    /// Cooperative cancellation flag, checked at loop back-edges.
-    pub(crate) cancel: Option<&'a AtomicBool>,
+/// Supervision hooks threaded into one [`RunBody::run_controlled`] by
+/// [`Supervisor::run`](crate::Supervisor::run). Every backend observes them
+/// once per [`SUPERVISION_STRIDE`] loop back-edges. All-`None` (the
+/// `Default`) runs unsupervised with zero overhead beyond the stride
+/// countdown.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct RunControls<'a> {
+    /// Cooperative cancellation flag.
+    pub cancel: Option<&'a AtomicBool>,
     /// Wall-clock deadline as (run start, allowed duration).
-    pub(crate) deadline: Option<(Instant, Duration)>,
-    /// Progress counters published for the watchdog thread.
-    pub(crate) shared: Option<&'a SharedProgress>,
+    pub deadline: Option<(Instant, Duration)>,
+    /// Progress sink the run publishes its meter into, for the watchdog
+    /// thread and the final report.
+    pub shared: Option<&'a SharedProgress>,
 }
 
 /// Bytes charged per map-workspace entry: key and value, plus slot overhead
@@ -700,9 +703,7 @@ impl Mach<'_> {
     #[inline(never)]
     fn supervision_check(&mut self) -> Result<(), RunError> {
         if let Some(shared) = self.ctl.shared {
-            shared.iterations.store(self.iterations_done(), Ordering::Relaxed);
-            shared.allocated_bytes.store(self.budget.total_bytes, Ordering::Relaxed);
-            shared.note_peaks(self.budget.peak_single_bytes, self.budget.peak_map_bytes);
+            shared.publish(&self.budget);
         }
         if let Some(flag) = self.ctl.cancel {
             if flag.load(Ordering::Relaxed) {
@@ -1768,16 +1769,6 @@ impl Executable {
         &self.name
     }
 
-    /// Names of the array parameters the kernel may write (`Output` and
-    /// `InOut`); the arrays a transactional run must snapshot. Lowered
-    /// kernels never store into `Input` parameters.
-    pub fn writable_arrays(&self) -> impl Iterator<Item = &str> {
-        self.array_params
-            .iter()
-            .filter(|(_, _, _, kind)| *kind != ParamKind::Input)
-            .map(|(name, ..)| name.as_str())
-    }
-
     /// Runs the kernel against bound buffers. Parameter arrays are moved
     /// into the machine and moved back afterwards, so repeated runs against
     /// the same binding do not reallocate. Scalar outputs become readable
@@ -1801,14 +1792,19 @@ impl Executable {
     ) -> Result<(), RunError> {
         self.run_controlled(binding, budget, RunControls::default())
     }
+}
 
-    /// The full-featured run loop: budget metering plus the supervision
-    /// hooks (cancel flag, deadline, progress publication) used by
-    /// [`ExecSession`](crate::ExecSession).
-    ///
-    /// Binding errors (missing or mistyped parameters) are detected before
-    /// any array is moved out of the binding, so they leave it untouched.
-    pub(crate) fn run_controlled(
+/// The interpreter: budget metering plus the supervision hooks (cancel
+/// flag, deadline, progress publication at the supervision stride).
+impl RunBody for Executable {
+    fn writable_arrays(&self) -> impl Iterator<Item = &str> {
+        self.array_params
+            .iter()
+            .filter(|(_, _, _, kind)| *kind != ParamKind::Input)
+            .map(|(name, ..)| name.as_str())
+    }
+
+    fn run_controlled(
         &self,
         binding: &mut Binding,
         budget: &ResourceBudget,
@@ -1861,9 +1857,7 @@ impl Executable {
         }
         // Publish final counters so reports reflect the whole run.
         if let Some(shared) = mach.ctl.shared {
-            shared.iterations.store(mach.iterations_done(), Ordering::Relaxed);
-            shared.allocated_bytes.store(mach.budget.total_bytes, Ordering::Relaxed);
-            shared.note_peaks(mach.budget.peak_single_bytes, mach.budget.peak_map_bytes);
+            shared.publish(&mach.budget);
         }
         result?;
 

@@ -57,10 +57,10 @@ pub use cgen::{
     ABI_VERSION_SYMBOL, ENTRY_SYMBOL, TACO_KERNEL_H,
 };
 pub use error::{CompileError, RunError};
-pub use exec::{ArrayVal, Binding, Executable, SUPERVISION_STRIDE};
+pub use exec::{ArrayVal, Binding, Executable, RunControls, SUPERVISION_STRIDE};
 pub use ir::{AppendMerge, ArrayTy, BinOp, Expr, Kernel, Param, ParamKind, Stmt, UnOp, WorkspaceKind};
 pub use printer::stmt_to_c;
 pub use supervise::{
-    Aborted, AbortReason, CancelToken, ExecReport, ExecSession, HeartbeatSample, Progress,
-    Supervisor,
+    run_transaction, Aborted, AbortReason, CancelToken, ExecReport, HeartbeatSample, Progress,
+    RunBody, SharedProgress, Supervisor,
 };

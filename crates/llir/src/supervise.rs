@@ -1,25 +1,36 @@
 //! Supervised kernel execution: deadlines, cooperative cancellation,
 //! transactional outputs, and progress heartbeats.
 //!
-//! [`Executable::run`] is fire-and-forget: a pathological input (a dense row
-//! that explodes a Gustavson workspace, a corrupted `pos` array that drives a
-//! merge loop forever) can run unbounded wall-clock, and a mid-flight error
-//! leaves output arrays half-written. A [`Supervisor`] wraps a run with
+//! [`Executable::run`](crate::Executable::run) is fire-and-forget: a
+//! pathological input (a dense row that explodes a Gustavson workspace, a
+//! corrupted `pos` array that drives a merge loop forever) can run
+//! unbounded wall-clock, and a mid-flight error leaves output arrays
+//! half-written. A [`Supervisor`] wraps a run with
 //!
 //! * a **wall-clock deadline** and a cooperative [`CancelToken`], both
 //!   checked at loop back-edges alongside the iteration fuse;
 //! * a **transactional output guarantee** — writable parameter arrays are
 //!   snapshotted before the run and restored on any error, cancel or
 //!   deadline, so the caller-visible [`Binding`] is byte-identical to its
-//!   pre-run state whenever [`ExecSession::run`] returns [`Aborted`];
+//!   pre-run state whenever [`Supervisor::run`] returns [`Aborted`];
 //! * a **progress heartbeat** — loop-iteration and allocated-byte counters
-//!   published by the interpreter and sampled by an optional watchdog
+//!   published by the running kernel and sampled by an optional watchdog
 //!   thread, exposed as an [`ExecReport`].
 //!
 //! The state machine is `running → committed | aborted`: a run either
 //! commits all its outputs (including scalar outputs) or none of them.
+//!
+//! The contract is written once and the backend is an argument: anything
+//! that implements [`RunBody`] — the interpreter's
+//! [`Executable`](crate::Executable) and the native backend's compiled
+//! kernel — runs through the same [`run_transaction`] and the same
+//! [`Supervisor::run`].
 
-use crate::{Binding, BudgetResource, Executable, ResourceBudget, RunError};
+use crate::alloc::BudgetMeter;
+use crate::exec::RunControls;
+#[cfg(test)]
+use crate::Executable;
+use crate::{Binding, BudgetResource, ResourceBudget, RunError};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -51,14 +62,6 @@ impl CancelToken {
     /// True once [`CancelToken::cancel`] has been called on any clone.
     pub fn is_cancelled(&self) -> bool {
         self.0.load(Ordering::Relaxed)
-    }
-
-    /// The raw flag behind this token, for alternate execution backends
-    /// (e.g. native-compiled kernels) that poll cancellation outside an
-    /// [`ExecSession`]. The borrow is tied to this clone; hold the token
-    /// alive for as long as the flag is observed.
-    pub fn as_atomic(&self) -> &AtomicBool {
-        &self.0
     }
 
     pub(crate) fn flag(&self) -> &AtomicBool {
@@ -109,10 +112,12 @@ impl std::fmt::Display for Progress {
     }
 }
 
-/// Shared counters the interpreter publishes at loop back-edges and the
-/// watchdog thread samples concurrently.
+/// The progress sink a running kernel publishes its counters into and the
+/// watchdog thread samples concurrently. The interpreter publishes at its
+/// supervision stride, the native host at each poll callback; both publish
+/// once more at exit.
 #[derive(Debug, Default)]
-pub(crate) struct SharedProgress {
+pub struct SharedProgress {
     pub(crate) iterations: AtomicU64,
     pub(crate) allocated_bytes: AtomicU64,
     pub(crate) peak_single_bytes: AtomicU64,
@@ -121,7 +126,8 @@ pub(crate) struct SharedProgress {
 }
 
 impl SharedProgress {
-    fn snapshot(&self) -> Progress {
+    /// The counters as last published.
+    pub fn snapshot(&self) -> Progress {
         Progress {
             iterations: self.iterations.load(Ordering::Relaxed),
             allocated_bytes: self.allocated_bytes.load(Ordering::Relaxed),
@@ -137,11 +143,13 @@ impl SharedProgress {
         self.workers.fetch_max(n, Ordering::Relaxed);
     }
 
-    /// Publishes the allocation high-water marks, keeping the maxima
-    /// observed across the run (workers publish concurrently).
-    pub(crate) fn note_peaks(&self, peak_single: u64, peak_map: u64) {
-        self.peak_single_bytes.fetch_max(peak_single, Ordering::Relaxed);
-        self.peak_map_bytes.fetch_max(peak_map, Ordering::Relaxed);
+    /// Publishes a run's meter: iterations and allocated bytes as they
+    /// stand, the allocation high-water marks as maxima over the run.
+    pub fn publish(&self, meter: &BudgetMeter) {
+        self.iterations.store(meter.iterations_done(), Ordering::Relaxed);
+        self.allocated_bytes.store(meter.total_bytes(), Ordering::Relaxed);
+        self.peak_single_bytes.fetch_max(meter.peak_single_bytes(), Ordering::Relaxed);
+        self.peak_map_bytes.fetch_max(meter.peak_map_bytes(), Ordering::Relaxed);
     }
 }
 
@@ -242,6 +250,23 @@ impl AbortReason {
             other => AbortReason::Failed(other),
         }
     }
+
+    /// The [`RunError`] this reason was classified from: the inverse of
+    /// [`AbortReason::from_run_error`], for callers that report plain run
+    /// errors rather than aborts.
+    pub fn into_run_error(self) -> RunError {
+        match self {
+            AbortReason::Cancelled => RunError::Cancelled,
+            AbortReason::DeadlineExceeded { deadline, elapsed } => RunError::DeadlineExceeded {
+                deadline_ms: deadline.as_millis() as u64,
+                elapsed_ms: elapsed.as_millis() as u64,
+            },
+            AbortReason::BudgetExceeded { resource, limit, requested, array } => {
+                RunError::BudgetExceeded { resource, limit, requested, array }
+            }
+            AbortReason::Failed(e) => e,
+        }
+    }
 }
 
 impl std::fmt::Display for AbortReason {
@@ -293,7 +318,59 @@ impl std::fmt::Display for Aborted {
 impl std::error::Error for Aborted {}
 
 // ---------------------------------------------------------------------------
-// Supervisor / ExecSession
+// Transaction
+// ---------------------------------------------------------------------------
+
+/// A kernel backend a supervised run can drive: the interpreter's
+/// [`Executable`](crate::Executable) and the native backend's compiled
+/// kernel. Implementors run non-transactionally; [`run_transaction`] adds
+/// the rollback.
+pub trait RunBody {
+    /// Names of the array parameters a run may write (`Output` and
+    /// `InOut`): the arrays a transactional run must snapshot. Lowered
+    /// kernels never store into `Input` parameters.
+    fn writable_arrays(&self) -> impl Iterator<Item = &str>;
+
+    /// Runs once against `binding`, metering `budget` and observing the
+    /// supervision hooks in `ctl`. Binding errors (missing or mistyped
+    /// parameters) leave the binding untouched; any later error returns the
+    /// parameter arrays with whatever the run wrote into them, and scalar
+    /// outputs commit only on success.
+    ///
+    /// # Errors
+    ///
+    /// The typed [`RunError`] that stopped the run.
+    fn run_controlled(
+        &self,
+        binding: &mut Binding,
+        budget: &ResourceBudget,
+        ctl: RunControls<'_>,
+    ) -> Result<(), RunError>;
+}
+
+/// Runs `body` transactionally: the writable arrays are snapshotted first
+/// and restored on any error, so on `Err` the binding is byte-identical to
+/// its pre-run state.
+///
+/// # Errors
+///
+/// The [`RunError`] the body stopped with.
+pub fn run_transaction<B: RunBody>(
+    body: &B,
+    binding: &mut Binding,
+    budget: &ResourceBudget,
+    ctl: RunControls<'_>,
+) -> Result<(), RunError> {
+    let snapshot = binding.snapshot(body.writable_arrays());
+    let result = body.run_controlled(binding, budget, ctl);
+    if result.is_err() {
+        binding.restore(snapshot);
+    }
+    result
+}
+
+// ---------------------------------------------------------------------------
+// Supervisor
 // ---------------------------------------------------------------------------
 
 /// Configuration for supervised execution: deadline, cancellation token,
@@ -396,30 +473,49 @@ impl Supervisor {
         self.deadline_at
     }
 
-    /// Prepares a supervised session for one executable.
-    pub fn session<'e>(&self, exe: &'e Executable) -> ExecSession<'e> {
-        ExecSession { exe, config: self.clone() }
-    }
-
-    /// Runs `exe` against `binding` under this supervisor's limits; see
-    /// [`ExecSession::run`].
+    /// Runs `body` against `binding` under this supervisor's limits, as
+    /// one [`run_transaction`]: on success every output (arrays and scalar
+    /// outputs) is committed and an [`ExecReport`] is returned; on *any*
+    /// failure the binding is byte-identical to its pre-run state. The
+    /// deadline is the tighter of the relative one and what remains of the
+    /// absolute one when the run starts.
     ///
     /// # Errors
     ///
     /// Returns [`Aborted`] — with the binding rolled back — on deadline,
-    /// cancellation, budget exhaustion, or any runtime error.
-    pub fn run(&self, exe: &Executable, binding: &mut Binding) -> Result<ExecReport, Aborted> {
-        self.session(exe).run(binding)
-    }
-}
+    /// cancellation, budget exhaustion, or any runtime error, carrying the
+    /// progress counters at the moment the run was stopped.
+    pub fn run<B: RunBody>(&self, body: &B, binding: &mut Binding) -> Result<ExecReport, Aborted> {
+        let shared = Arc::new(SharedProgress::default());
+        let start = Instant::now();
+        let watchdog = self.heartbeat.map(|iv| Watchdog::spawn(iv, Arc::clone(&shared), start));
 
-/// One executable prepared to run under supervision. Obtain from
-/// [`Supervisor::session`]; cancel concurrent runs through
-/// [`ExecSession::cancel_token`].
-#[derive(Debug)]
-pub struct ExecSession<'e> {
-    exe: &'e Executable,
-    config: Supervisor,
+        // An instant already in the past becomes a zero allowance, aborting
+        // at the first supervision check.
+        let remaining_abs = self.deadline_at.map(|at| at.saturating_duration_since(start));
+        let deadline = match (self.deadline, remaining_abs) {
+            (Some(rel), Some(abs)) => Some(rel.min(abs)),
+            (rel, abs) => rel.or(abs),
+        };
+        let result = run_transaction(
+            body,
+            binding,
+            &self.budget,
+            RunControls {
+                cancel: Some(self.cancel.flag()),
+                deadline: deadline.map(|d| (start, d)),
+                shared: Some(&shared),
+            },
+        );
+
+        let elapsed = start.elapsed();
+        let samples = watchdog.map(Watchdog::finish).unwrap_or_default();
+        let progress = shared.snapshot();
+        match result {
+            Ok(()) => Ok(ExecReport { elapsed, progress, samples }),
+            Err(e) => Err(Aborted { reason: AbortReason::from_run_error(e), progress, elapsed }),
+        }
+    }
 }
 
 /// Watchdog thread handle: samples shared progress until told to stop.
@@ -455,73 +551,6 @@ impl Watchdog {
         match self.samples.lock() {
             Ok(mut s) => std::mem::take(&mut *s),
             Err(_) => Vec::new(),
-        }
-    }
-}
-
-impl ExecSession<'_> {
-    /// The token that cancels runs of this session.
-    pub fn cancel_token(&self) -> CancelToken {
-        self.config.cancel.clone()
-    }
-
-    /// Runs the kernel transactionally: on success every output (arrays and
-    /// scalar outputs) is committed to `binding` and an [`ExecReport`] is
-    /// returned; on *any* failure — deadline, cancellation, budget, or
-    /// runtime error — writable arrays are restored from their pre-run
-    /// snapshot so `binding` is byte-identical to its pre-run state.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Aborted`] carrying the typed reason and the progress
-    /// counters at the moment the run was stopped.
-    pub fn run(&self, binding: &mut Binding) -> Result<ExecReport, Aborted> {
-        // Stage 1: snapshot. Lowered kernels only ever store into output and
-        // inout parameters (input arrays are read-only by construction), so
-        // snapshotting the writable parameters is enough for byte-identical
-        // restoration.
-        let snapshot = binding.snapshot(self.exe.writable_arrays());
-
-        let shared = Arc::new(SharedProgress::default());
-        let start = Instant::now();
-        let watchdog =
-            self.config.heartbeat.map(|iv| Watchdog::spawn(iv, Arc::clone(&shared), start));
-
-        // An absolute deadline is folded into the (start, duration) pair the
-        // interpreter checks; an instant already in the past becomes a zero
-        // allowance, aborting at the first supervision check.
-        let remaining_abs =
-            self.config.deadline_at.map(|at| at.saturating_duration_since(start));
-        let deadline = match (self.config.deadline, remaining_abs) {
-            (Some(rel), Some(abs)) => Some(rel.min(abs)),
-            (rel, abs) => rel.or(abs),
-        };
-        let result = self.exe.run_controlled(
-            binding,
-            &self.config.budget,
-            crate::exec::RunControls {
-                cancel: Some(self.config.cancel.flag()),
-                deadline: deadline.map(|d| (start, d)),
-                shared: Some(&shared),
-            },
-        );
-
-        let elapsed = start.elapsed();
-        let samples = watchdog.map(Watchdog::finish).unwrap_or_default();
-
-        match result {
-            Ok(()) => Ok(ExecReport { elapsed, progress: shared.snapshot(), samples }),
-            Err(e) => {
-                // Stage 2: rollback. `run_controlled` has already moved the
-                // parameter arrays back into the binding; overwrite the
-                // writable ones with their snapshots.
-                binding.restore(snapshot);
-                Err(Aborted {
-                    reason: AbortReason::from_run_error(e),
-                    progress: shared.snapshot(),
-                    elapsed,
-                })
-            }
         }
     }
 }

@@ -1,8 +1,8 @@
 //! Native execution backend: compile-and-dlopen for emitted C kernels.
 //!
 //! The LLIR interpreter is the portable reference executor; this crate is
-//! the machine-speed alternative. Given a compiled kernel's [`Executable`],
-//! the pipeline is:
+//! the machine-speed alternative. Given a compiled kernel's
+//! [`Executable`](taco_llir::Executable), the pipeline is:
 //!
 //! 1. [`taco_llir::emit_native`] renders a self-contained C translation
 //!    unit against the `taco_ctx` table ABI of `taco_kernel.h`, plus an
@@ -15,9 +15,9 @@
 //! 3. The shared object is loaded with raw `dlopen`/`dlsym`/`dlclose`
 //!    FFI (no crate dependencies) and its exported `taco_abi_version()`
 //!    is checked against the host's [`taco_llir::ABI_VERSION`].
-//! 4. [`NativeKernel::run`] marshals a [`Binding`] into the context
-//!    tables (zero-copy: the kernel works directly on the binding's
-//!    buffers) and calls the fixed `taco_kernel_entry` symbol.
+//! 4. [`NativeKernel::run`] marshals a [`Binding`](taco_llir::Binding)
+//!    into the context tables (zero-copy: the kernel works directly on the
+//!    binding's buffers) and calls the fixed `taco_kernel_entry` symbol.
 //!
 //! # Supervision and budgets
 //!
@@ -26,9 +26,15 @@
 //! [`BudgetMeter`](taco_llir::BudgetMeter) the interpreter uses — budget
 //! aborts are byte-identical between backends. The loop-iteration fuse is
 //! charged in supervision-stride batches through the poll callback, which
-//! also observes the cancel flag and wall-clock deadline, so a native run
-//! aborts on exactly the same iteration count as an interpreted one and
-//! honours cancellation within one stride.
+//! also publishes the meter's progress counters and observes the cancel
+//! flag and wall-clock deadline, so a native run aborts on exactly the same
+//! iteration count as an interpreted one and honours cancellation within
+//! one stride.
+//!
+//! [`NativeKernel`] is a [`RunBody`](taco_llir::RunBody): snapshot and
+//! rollback, deadline resolution and abort typing are llir's, shared with
+//! the interpreter through [`taco_llir::run_transaction`] and
+//! [`taco_llir::Supervisor::run`].
 //!
 //! # Failure is degradation, not error
 //!
@@ -45,7 +51,7 @@ mod dl;
 mod run;
 
 pub use cc::{cache_dir, NativeCompiler};
-pub use run::{NativeKernel, NativeReport, NativeRunOptions};
+pub use run::{NativeKernel, NativeRunOptions};
 
 /// Why a native kernel could not be produced or loaded. All variants are
 /// recoverable: the engine degrades to the interpreter.

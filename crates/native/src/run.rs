@@ -8,10 +8,12 @@
 //! host-side as the interpreter's typed [`RunError`]s, so the two
 //! backends are observationally identical on both success and failure.
 //!
-//! A run is transactional like the interpreter's: parameter validation
-//! happens before any array is moved out of the binding, writable arrays
-//! are snapshotted and restored on abort, and scalar outputs commit only
-//! on success.
+//! The runner is a [`RunBody`], not a second supervisor: parameter
+//! validation happens before any array is moved out of the binding, scalar
+//! outputs commit only on success, and the meter's counters are published
+//! into the run's progress sink at each poll and at exit. Snapshot and
+//! rollback are llir's one [`run_transaction`], which [`NativeKernel::run`]
+//! and every supervised run go through.
 
 use crate::dl::DynLib;
 use std::ffi::c_void;
@@ -19,8 +21,9 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 use taco_llir::{
-    elem_bytes, AbiPlan, AllocSink, ArrayTy, ArrayVal, Binding, BudgetMeter, ParamKind,
-    ResourceBudget, RunError, SUPERVISION_STRIDE,
+    elem_bytes, run_transaction, AbiPlan, AllocSink, ArrayTy, ArrayVal, Binding, BudgetMeter,
+    ParamKind, Progress, ResourceBudget, RunBody, RunControls, RunError, SharedProgress,
+    SUPERVISION_STRIDE,
 };
 
 // Status and element-type codes; must match taco_kernel.h.
@@ -71,21 +74,6 @@ pub struct NativeRunOptions<'a> {
     pub cancel: Option<&'a AtomicBool>,
     /// Wall-clock deadline as (run start, allowed duration).
     pub deadline: Option<(Instant, Duration)>,
-}
-
-/// What a successful native run consumed, for engine accounting and
-/// benchmark reporting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct NativeReport {
-    /// Loop iterations executed (back-edges), identical to the
-    /// interpreter's count for the same operands.
-    pub iterations: u64,
-    /// Bytes of output/workspace allocation charged against the budget.
-    pub allocated_bytes: u64,
-    /// Largest single array allocation charged (high-water mark).
-    pub peak_single_bytes: u64,
-    /// Largest map-workspace footprint charged (high-water mark).
-    pub peak_map_bytes: u64,
 }
 
 /// A loaded, callable native kernel: the dlopen'd shared object, its
@@ -139,7 +127,7 @@ impl NativeKernel {
 
     /// Runs the kernel against `binding`, like
     /// [`Executable::run_with_budget`](taco_llir::Executable::run_with_budget)
-    /// plus the supervision hooks in `opts`.
+    /// plus the supervision hooks in `opts`, as one [`run_transaction`].
     ///
     /// # Errors
     ///
@@ -152,7 +140,30 @@ impl NativeKernel {
         binding: &mut Binding,
         budget: &ResourceBudget,
         opts: NativeRunOptions<'_>,
-    ) -> Result<NativeReport, RunError> {
+    ) -> Result<Progress, RunError> {
+        let progress = SharedProgress::default();
+        let ctl =
+            RunControls { cancel: opts.cancel, deadline: opts.deadline, shared: Some(&progress) };
+        run_transaction(self, binding, budget, ctl)?;
+        Ok(progress.snapshot())
+    }
+}
+
+impl RunBody for NativeKernel {
+    fn writable_arrays(&self) -> impl Iterator<Item = &str> {
+        self.plan
+            .arrays
+            .iter()
+            .filter(|a| matches!(a.kind, Some(ParamKind::Output | ParamKind::InOut)))
+            .map(|a| a.name.as_str())
+    }
+
+    fn run_controlled(
+        &self,
+        binding: &mut Binding,
+        budget: &ResourceBudget,
+        ctl: RunControls<'_>,
+    ) -> Result<(), RunError> {
         let plan = &self.plan;
 
         // Validate every parameter before moving anything, so binding
@@ -175,16 +186,6 @@ impl NativeKernel {
             }
         }
 
-        // Snapshot writable parameters for rollback on abort.
-        let mut snapshots: Vec<Option<ArrayVal>> = plan
-            .arrays
-            .iter()
-            .map(|a| match a.kind {
-                Some(ParamKind::Output) | Some(ParamKind::InOut) => binding.array(&a.name).cloned(),
-                _ => None,
-            })
-            .collect();
-
         // Move parameter arrays out of the binding into the slot table;
         // non-parameter slots (kernel locals, hidden map backing) start
         // empty and are populated through the alloc/grow callbacks.
@@ -202,15 +203,7 @@ impl NativeKernel {
 
         let meter = BudgetMeter::new(budget, plan.arrays.len());
         let grant = meter.grant_iterations(u64::from(SUPERVISION_STRIDE));
-        let mut host = Host {
-            plan,
-            arrays,
-            meter,
-            error: None,
-            grant,
-            cancel: opts.cancel,
-            deadline: opts.deadline,
-        };
+        let mut host = Host { plan, arrays, meter, error: None, grant, ctl };
 
         let mut ptrs: Vec<*mut c_void> = Vec::with_capacity(plan.arrays.len());
         let mut sizes: Vec<i64> = Vec::with_capacity(plan.arrays.len());
@@ -254,23 +247,19 @@ impl NativeKernel {
                 host.error.get_or_insert(e);
             }
         }
-
-        let failed = rc != TACO_OK || host.error.is_some();
-        let mut arrays = host.arrays;
-        for (slot, a) in plan.arrays.iter().enumerate() {
-            if a.kind.is_none() {
-                continue;
-            }
-            let ran = std::mem::replace(&mut arrays[slot], empty_of(a.ty));
-            let back = if failed {
-                snapshots[slot].take().unwrap_or(ran)
-            } else {
-                ran
-            };
-            binding.set_array(a.name.clone(), back);
+        if let Some(shared) = ctl.shared {
+            shared.publish(&host.meter);
         }
 
-        if failed {
+        // Return parameter arrays to the binding even on error, as the
+        // interpreter does; the transaction restores writable ones.
+        for (v, a) in host.arrays.into_iter().zip(&plan.arrays) {
+            if a.kind.is_some() {
+                binding.set_array(a.name.clone(), v);
+            }
+        }
+
+        if rc != TACO_OK || host.error.is_some() {
             return Err(host.error.take().unwrap_or_else(|| match rc {
                 TACO_ERR_DIV0 => RunError::DivisionByZero,
                 rc => RunError::Backend(format!("native kernel exited with status {rc}")),
@@ -279,12 +268,7 @@ impl NativeKernel {
         for (pos, (name, _)) in plan.scalar_outputs.iter().enumerate() {
             binding.set_scalar_output(name.clone(), scalar_out[pos]);
         }
-        Ok(NativeReport {
-            iterations: host.meter.iterations_done(),
-            allocated_bytes: host.meter.total_bytes(),
-            peak_single_bytes: host.meter.peak_single_bytes(),
-            peak_map_bytes: host.meter.peak_map_bytes(),
-        })
+        Ok(())
     }
 }
 
@@ -297,8 +281,7 @@ struct Host<'a> {
     error: Option<RunError>,
     /// Iterations granted in the current supervision batch.
     grant: u64,
-    cancel: Option<&'a AtomicBool>,
-    deadline: Option<(Instant, Duration)>,
+    ctl: RunControls<'a>,
 }
 
 impl Host<'_> {
@@ -430,21 +413,25 @@ unsafe extern "C" fn grow_cb(ctx: *mut TacoCtx, slot: i64, len: i64) -> i32 {
 
 /// `ctx->poll`: the batched supervision check. Charges the grant that
 /// just elapsed against the iteration fuse (tripping on exactly the same
-/// iteration count as the interpreter's one-at-a-time accounting), then
-/// observes cancellation and the deadline, then issues the next grant.
+/// iteration count as the interpreter's one-at-a-time accounting),
+/// publishes progress, observes cancellation and the deadline, then issues
+/// the next grant.
 unsafe extern "C" fn poll_cb(ctx: *mut TacoCtx) -> i32 {
     let host = host_of(ctx);
     if let Err(e) = host.meter.consume_iterations(host.grant) {
         host.record(e);
         return 1;
     }
-    if let Some(flag) = host.cancel {
+    if let Some(shared) = host.ctl.shared {
+        shared.publish(&host.meter);
+    }
+    if let Some(flag) = host.ctl.cancel {
         if flag.load(Ordering::Relaxed) {
             host.record(RunError::Cancelled);
             return 1;
         }
     }
-    if let Some((start, limit)) = host.deadline {
+    if let Some((start, limit)) = host.ctl.deadline {
         let elapsed = start.elapsed();
         if elapsed >= limit {
             host.record(RunError::DeadlineExceeded {

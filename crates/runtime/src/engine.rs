@@ -398,14 +398,19 @@ impl Engine {
         Ok((kernel, !compiled_now))
     }
 
-    /// Compiles (through the cache) and runs a statement.
+    /// Compiles (through the cache) and runs a statement, supervised with
+    /// no deadline under the engine budget.
     ///
     /// # Errors
     ///
-    /// Compile errors, or the usual bind/run errors.
+    /// Compile and bind errors; a failed run arrives as
+    /// [`CoreError::Aborted`] via [`EngineError::Core`], the shape
+    /// [`Engine::execute`] returns.
     pub fn run(&self, stmt: &IndexStmt, opts: LowerOptions, inputs: &[(&str, &Tensor)]) -> Result<Tensor> {
         let kernel = self.compile(stmt, opts)?;
-        let (result, _) = self.dispatch(&kernel, inputs, None, None, self.config.backend).result?;
+        let supervisor = Supervisor::new();
+        let (result, _) =
+            self.dispatch(&kernel, inputs, None, &supervisor, self.config.backend).result?;
         Ok(result)
     }
 
@@ -470,7 +475,7 @@ impl Engine {
             },
             |kernel| {
                 let dispatched =
-                    self.dispatch(kernel, inputs, output_structure, Some(supervisor), backend);
+                    self.dispatch(kernel, inputs, output_structure, supervisor, backend);
                 native = dispatched.native;
                 dispatched.result
             },
@@ -643,7 +648,7 @@ impl Engine {
                         &kernel,
                         &cand_inputs,
                         None,
-                        Some(&supervisor),
+                        &supervisor,
                         self.config.backend,
                     );
                     match dispatched.result {
@@ -743,43 +748,6 @@ impl Engine {
     /// [`EngineBuilder::max_events`]).
     pub fn dropped_events(&self) -> u64 {
         self.events.lock().unwrap_or_else(|p| p.into_inner()).dropped
-    }
-
-    /// Converts a tensor to `format` — the pack/convert kernel surfaced at
-    /// the engine level, so callers that route everything through the
-    /// [`Engine`] never have to reach into [`Tensor`] directly. Identity
-    /// conversions return a cheap copy.
-    ///
-    /// # Errors
-    ///
-    /// [`taco_tensor::TensorError`] (via [`CoreError::Tensor`]) when the
-    /// format's rank does not match or its level chain is invalid.
-    pub fn convert(&self, tensor: &Tensor, format: Format) -> Result<Tensor> {
-        tensor.convert(format).map_err(|e| EngineError::Core(CoreError::Tensor(e)))
-    }
-
-    /// Packs dense (row-major) data into `format` through the engine — the
-    /// companion of [`Engine::convert`] for data that starts outside any
-    /// sparse format.
-    ///
-    /// # Errors
-    ///
-    /// [`taco_tensor::TensorError`] when `data.len()` does not match the
-    /// shape or the format is invalid for the shape.
-    pub fn pack(&self, shape: &[usize], data: &[f64], format: Format) -> Result<Tensor> {
-        let volume: usize = shape.iter().product();
-        if shape.is_empty() || data.len() != volume {
-            return Err(EngineError::Core(CoreError::Tensor(
-                taco_tensor::TensorError::InvalidFormat {
-                    detail: format!(
-                        "pack: {} values do not fill shape {shape:?}",
-                        data.len()
-                    ),
-                },
-            )));
-        }
-        let dense = taco_tensor::DenseTensor::from_data(shape.to_vec(), data.to_vec());
-        Tensor::from_dense(&dense, format).map_err(|e| EngineError::Core(CoreError::Tensor(e)))
     }
 
     pub(crate) fn push_event(&self, event: EngineEvent) {

@@ -5,7 +5,7 @@
 //! The compiler crates answer "how do I compile this statement"; this crate
 //! answers "how do I *serve* it": compile once and share the kernel across
 //! threads ([`KernelCache`], keyed by the canonical fingerprint of
-//! [`taco_core::fingerprint`]), coalesce concurrent compiles of the same
+//! [`taco_core::fingerprint()`]), coalesce concurrent compiles of the same
 //! kernel into one (single-flight), evict cold kernels against byte/entry
 //! budgets, and — when the caller does not want to schedule by hand — pick
 //! the workspace placement and loop order empirically by timing the

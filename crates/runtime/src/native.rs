@@ -2,7 +2,7 @@
 //! cached kernel, with the interpreter as the portable fallback and the
 //! correctness oracle.
 //!
-//! The engine owns one [`NativeStore`]: a lazily built system C compiler
+//! The engine owns one `NativeStore`: a lazily built system C compiler
 //! (built once per engine from a probe verdict remembered per process — a
 //! broken `$CC` costs one failed probe, not one per kernel) and a
 //! per-fingerprint trust ledger. A kernel's native form moves through three
@@ -39,10 +39,9 @@ use crate::Engine;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 use taco_core::{CompiledKernel, CoreError, FallbackEvent, Supervisor};
-use taco_llir::{emit_native, Aborted, AbortReason, CancelToken, ExecReport, Progress};
-use taco_native::{NativeCompiler, NativeKernel, NativeRunOptions};
+use taco_llir::{emit_native, ExecReport};
+use taco_native::{NativeCompiler, NativeKernel};
 use taco_tensor::Tensor;
 
 /// Which execution backend the engine dispatches kernel runs to.
@@ -188,17 +187,19 @@ impl Engine {
         self.native.stats()
     }
 
-    /// Runs a kernel on `backend`: the trusted native kernel when there is
-    /// one, the differential trust check when its native form is new, and
-    /// the interpreter when the backend is off or the kernel was refused.
-    /// Supervised errors arrive as [`CoreError::Aborted`] on either backend,
-    /// so the degrade-and-retry ladder treats both identically.
+    /// Runs a kernel on `backend` under `supervisor`: the trusted native
+    /// kernel when there is one, the differential trust check when its
+    /// native form is new, and the interpreter when the backend is off or
+    /// the kernel was refused. Every leg is one
+    /// [`CompiledKernel::run_supervised_on`], so errors arrive as
+    /// [`CoreError::Aborted`] on either backend and the degrade-and-retry
+    /// ladder treats both identically.
     pub(crate) fn dispatch(
         &self,
         kernel: &CompiledKernel,
         inputs: &[(&str, &Tensor)],
         output_structure: Option<&Tensor>,
-        supervisor: Option<&Supervisor>,
+        supervisor: &Supervisor,
         backend: Backend,
     ) -> Dispatched {
         let fingerprint = kernel.fingerprint();
@@ -212,28 +213,31 @@ impl Engine {
         } else {
             None
         };
-        let Some((nk, trusted)) = native_form else {
-            return run_interp(kernel, inputs, output_structure, supervisor);
+        let interp = || {
+            kernel.run_supervised_on(kernel.executable(), inputs, output_structure, supervisor)
         };
+        let Some((nk, trusted)) = native_form else {
+            return Dispatched { result: interp(), native: false };
+        };
+        let native = || kernel.run_supervised_on(&*nk, inputs, output_structure, supervisor);
 
         if trusted {
             self.native.native_runs.fetch_add(1, Ordering::Relaxed);
-            let result = run_native_once(kernel, &nk, inputs, output_structure, supervisor);
-            return Dispatched { result, native: true };
+            return Dispatched { result: native(), native: true };
         }
 
         // Differential trust check: interpreter first (its result is what
         // the caller gets), then the native kernel on a fresh binding.
-        let reference = run_interp(kernel, inputs, output_structure, supervisor);
-        let Ok((ref_result, _)) = &reference.result else {
+        let reference = interp();
+        let Ok((ref_result, _)) = &reference else {
             // The interpreter itself failed (deadline, budget, bad
             // operands): the check is inconclusive. Propagate the error and
             // leave the kernel untrusted for the next attempt.
-            return reference;
+            return Dispatched { result: reference, native: false };
         };
-        match run_native_once(kernel, &nk, inputs, output_structure, supervisor) {
+        match native() {
             Ok((native_result, _)) if native_result == *ref_result => {
-                self.native.set(fingerprint, NativeState::Trusted(nk));
+                self.native.set(fingerprint, NativeState::Trusted(Arc::clone(&nk)));
                 self.native.trusted.fetch_add(1, Ordering::Relaxed);
             }
             Ok(_) => self.reject_native(
@@ -246,7 +250,7 @@ impl Engine {
                 format!("native run failed where the interpreter succeeded: {e}"),
             ),
         }
-        reference
+        Dispatched { result: reference, native: false }
     }
 
     /// Verify-gates, emits, and compiles the native form of a kernel,
@@ -327,82 +331,5 @@ impl Engine {
         self.native.set(fingerprint, NativeState::Rejected);
         self.native.unavailable.fetch_add(1, Ordering::Relaxed);
         self.push_event(EngineEvent::Fallback(FallbackEvent::NativeUnavailable { reason }));
-    }
-}
-
-/// Runs the kernel on the interpreter: supervised when a supervisor is
-/// given, otherwise under the kernel's own budget.
-fn run_interp(
-    kernel: &CompiledKernel,
-    inputs: &[(&str, &Tensor)],
-    output_structure: Option<&Tensor>,
-    supervisor: Option<&Supervisor>,
-) -> Dispatched {
-    let result = match supervisor {
-        Some(s) => kernel.run_supervised(inputs, output_structure, s),
-        None => kernel.run_with(inputs, output_structure).map(|t| (t, ExecReport::default())),
-    };
-    Dispatched { result, native: false }
-}
-
-/// Runs the native kernel once on a fresh binding, under the tighter of
-/// the supervisor's and the kernel's budgets, mapping the supervisor's
-/// deadline and cancel token into the native runner's polling options.
-fn run_native_once(
-    kernel: &CompiledKernel,
-    nk: &NativeKernel,
-    inputs: &[(&str, &Tensor)],
-    output_structure: Option<&Tensor>,
-    supervisor: Option<&Supervisor>,
-) -> std::result::Result<(Tensor, ExecReport), CoreError> {
-    let mut binding = kernel.bind(inputs, output_structure)?;
-    let budget = match supervisor {
-        Some(s) => s.budget().min_with(&kernel.budget()),
-        None => kernel.budget(),
-    };
-    let start = Instant::now();
-    let token = supervisor.map(Supervisor::cancel_token);
-    let mut opts = NativeRunOptions::default();
-    if let Some(s) = supervisor {
-        opts.cancel = token.as_ref().map(CancelToken::as_atomic);
-        // Same resolution as ExecSession::run: the tighter of the relative
-        // deadline and what remains of the absolute one.
-        let relative = s.deadline();
-        let absolute = s.deadline_at().map(|at| at.saturating_duration_since(start));
-        let deadline = match (relative, absolute) {
-            (Some(r), Some(a)) => Some(r.min(a)),
-            (r, a) => r.or(a),
-        };
-        opts.deadline = deadline.map(|d| (start, d));
-    }
-    match nk.run(&mut binding, &budget, opts) {
-        Ok(report) => {
-            let result = kernel.extract(&binding, output_structure)?;
-            Ok((
-                result,
-                ExecReport {
-                    elapsed: start.elapsed(),
-                    progress: Progress {
-                        iterations: report.iterations,
-                        allocated_bytes: report.allocated_bytes,
-                        peak_single_bytes: report.peak_single_bytes,
-                        peak_map_bytes: report.peak_map_bytes,
-                        workers: 0,
-                    },
-                    samples: Vec::new(),
-                },
-            ))
-        }
-        Err(e) => match supervisor {
-            // Supervised callers speak the abort protocol; the native
-            // runner already restored the binding's pre-run state, matching
-            // ExecSession's transactional rollback.
-            Some(_) => Err(CoreError::Aborted(Aborted {
-                reason: AbortReason::from_run_error(e),
-                progress: Progress::default(),
-                elapsed: start.elapsed(),
-            })),
-            None => Err(e.into()),
-        },
     }
 }

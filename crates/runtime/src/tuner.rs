@@ -12,7 +12,7 @@
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-use taco_core::fingerprint::fingerprint_stmt;
+use taco_core::fingerprint::{fingerprint_stmt, Fnv64};
 use taco_core::IndexStmt;
 use taco_llir::WorkspaceKind;
 use taco_tensor::{Format, LevelType, Tensor};
@@ -65,25 +65,14 @@ impl std::fmt::Display for TuneKey {
 
 /// FNV-1a over the operand names, shapes and per-mode formats.
 fn format_signature(inputs: &[(&str, &Tensor)]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    let mut byte = |b: u8| {
-        h ^= b as u64;
-        h = h.wrapping_mul(PRIME);
-    };
+    let mut h = Fnv64::new();
     for (name, t) in inputs {
-        for b in name.bytes() {
-            byte(b);
-        }
-        byte(0xff);
+        h.write(name.as_bytes()).write_tag(0xff);
         for &d in t.shape() {
-            for b in (d as u64).to_le_bytes() {
-                byte(b);
-            }
+            h.write_u64(d as u64);
         }
         for m in t.format().modes() {
-            byte(match m {
+            h.write_tag(match m {
                 LevelType::Dense => 1,
                 LevelType::Compressed => 2,
                 LevelType::Singleton => 3,
@@ -92,13 +81,11 @@ fn format_signature(inputs: &[(&str, &Tensor)]) -> u64 {
         }
         // Mode order distinguishes CSR from CSC (same level chain).
         for &m in t.format().mode_order() {
-            for b in (m as u64).to_le_bytes() {
-                byte(b);
-            }
+            h.write_u64(m as u64);
         }
-        byte(0xfe);
+        h.write_tag(0xfe);
     }
-    h
+    h.finish()
 }
 
 /// `round(-log10(geometric mean density))` over all operands, clamped to
@@ -179,5 +166,38 @@ impl Autotuner {
     /// Number of distinct keys with a remembered decision.
     pub fn decisions_len(&self) -> usize {
         self.decisions.lock().unwrap_or_else(|p| p.into_inner()).len()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use taco_ir::expr::{sum, IndexVar, TensorVar};
+    use taco_ir::notation::IndexAssignment;
+    use taco_tensor::Csr;
+
+    /// Remembered decisions are keyed by this value: the signature hash
+    /// must stay bit-identical across refactors of how it is computed.
+    #[test]
+    fn tune_key_is_pinned_for_a_fixed_csr_pair() {
+        let n = 4;
+        let (a, b, c) = (
+            TensorVar::new("A", vec![n, n], Format::csr()),
+            TensorVar::new("B", vec![n, n], Format::csr()),
+            TensorVar::new("C", vec![n, n], Format::csr()),
+        );
+        let (i, j, k) = (IndexVar::new("i"), IndexVar::new("j"), IndexVar::new("k"));
+        let stmt = IndexStmt::new(IndexAssignment::assign(
+            a.access([i.clone(), j.clone()]),
+            sum(k.clone(), b.access([i, k.clone()]) * c.access([k, j])),
+        ))
+        .unwrap();
+        let bt = Csr::from_triplets(n, n, &[(0, 1, 1.0), (2, 3, 2.0)]).to_tensor();
+        let ct = Csr::from_triplets(n, n, &[(1, 0, 3.0), (3, 3, 4.0)]).to_tensor();
+        let key = TuneKey::new(&stmt, &[("B", &bt), ("C", &ct)]);
+        assert_eq!(
+            (key.expr, key.formats, key.sparsity_bucket),
+            (0x037d_2316_93d5_831e, 0xfe03_d681_6003_8d44, 1)
+        );
     }
 }
