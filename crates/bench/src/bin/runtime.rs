@@ -346,7 +346,7 @@ fn main() {
     let mut ladder_exhausted = 0usize;
     let mut ladder_retries = 0usize;
     for (label, budget) in &budgets {
-        let sup = Supervisor::new().with_budget(budget.clone());
+        let sup = Supervisor::new().with_budget(*budget);
         match ladder_stmt.run_supervised(
             LowerOptions::fused("spgemm_ladder"),
             &sup,

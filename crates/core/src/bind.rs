@@ -5,7 +5,7 @@ use crate::{CoreError, Result};
 use taco_ir::expr::TensorVar;
 use taco_llir::Binding;
 use taco_lower::KernelKind;
-use taco_tensor::{Format, Tensor};
+use taco_tensor::{Format, ModeStorage, Tensor, TensorError};
 
 pub(crate) fn dim_name(tensor: &str, level: usize) -> String {
     format!("{tensor}{}_dim", level + 1)
@@ -125,7 +125,10 @@ pub(crate) fn bind_result(
     Ok(())
 }
 
-/// Extracts the result tensor after a run.
+/// Extracts the result tensor after a run by adopting the kernel's result
+/// buffers: values are copied once, index arrays converted once, and
+/// [`Tensor::try_from_parts`] checks the structure, so a malformed buffer is
+/// a typed [`TensorError::InvalidStorage`] error rather than a panic.
 pub(crate) fn extract_result(
     b: &Binding,
     var: &TensorVar,
@@ -134,112 +137,75 @@ pub(crate) fn extract_result(
     nnz_output: Option<&str>,
 ) -> Result<Tensor> {
     let name = var.name();
-    let sparse_level = result_append_level(var)?;
-    match sparse_level {
-        None => {
-            let vals =
-                b.f64_array(name).ok_or_else(|| CoreError::UnknownOperand(name.to_string()))?;
-            Ok(Tensor::from_dense(
-                &taco_tensor::DenseTensor::from_data(var.shape().to_vec(), vals.to_vec()),
-                Format::dense(var.rank()),
-            )?)
-        }
-        Some(l) => match kind {
-            KernelKind::Compute => {
-                let s = structure.ok_or(CoreError::MissingOutputStructure)?;
-                let vals = b
-                    .f64_array(name)
-                    .ok_or_else(|| CoreError::UnknownOperand(name.to_string()))?;
-                let entries: Vec<(Vec<usize>, f64)> = s
-                    .entries()
-                    .into_iter()
-                    .zip(vals)
-                    .map(|((coord, _), v)| (coord, *v))
-                    .collect();
-                Ok(Tensor::from_entries(var.shape().to_vec(), var.format().clone(), entries)?)
-            }
-            KernelKind::Fused | KernelKind::Assemble => {
-                // Borrow the kernel's i64 buffers directly — converting
-                // through `usize_array` would copy both index arrays on
-                // every extraction. Elements are range-checked as they are
-                // consumed instead.
-                let pos = b
-                    .int_array(&pos_name(name, l))
-                    .ok_or_else(|| CoreError::UnknownOperand(name.to_string()))?;
-                let crd = b
-                    .int_array(&crd_name(name, l))
-                    .ok_or_else(|| CoreError::UnknownOperand(name.to_string()))?;
-                // The kernel owns these arrays during the run, so treat their
-                // relative sizes and signs as untrusted when rebuilding the
-                // tensor.
-                let inconsistent = |detail: String| {
-                    CoreError::Tensor(taco_tensor::TensorError::InvalidStorage { level: l, detail })
-                };
-                let index = |v: i64, what: &str| {
-                    usize::try_from(v).map_err(|_| {
-                        inconsistent(format!("negative {what} value {v} in kernel output"))
-                    })
-                };
-                let nnz = match nnz_output.and_then(|n| b.scalar_output(n)) {
-                    Some(v) => index(v, "nnz")?,
-                    None => index(pos.last().copied().unwrap_or(0), "pos")?,
-                };
-                let vals: Vec<f64> = if kind == KernelKind::Fused {
-                    let all = b
-                        .f64_array(name)
-                        .ok_or_else(|| CoreError::UnknownOperand(name.to_string()))?;
-                    all.get(..nnz)
-                        .ok_or_else(|| {
-                            inconsistent(format!(
-                                "kernel reported {nnz} result entries but produced {}",
-                                all.len()
-                            ))
-                        })?
-                        .to_vec()
-                } else {
-                    vec![0.0; nnz]
-                };
+    let missing = || CoreError::UnknownOperand(name.to_string());
+    let shape = var.shape().to_vec();
+    let dense_levels = |dims: &[usize]| -> Vec<ModeStorage> {
+        dims.iter().map(|&dim| ModeStorage::Dense { dim }).collect()
+    };
+    let Some(l) = result_append_level(var)? else {
+        let vals = b.f64_array(name).ok_or_else(missing)?;
+        let modes = dense_levels(&shape);
+        return Ok(Tensor::try_from_parts(shape, Format::dense(var.rank()), modes, vals.to_vec())?);
+    };
+    if kind == KernelKind::Compute {
+        // The kernel computed values into the output structure's levels.
+        let s = structure.ok_or(CoreError::MissingOutputStructure)?;
+        let vals = b.f64_array(name).ok_or_else(missing)?;
+        let modes = (0..s.rank()).map(|k| s.mode_storage(k).clone()).collect();
+        return Ok(Tensor::try_from_parts(shape, var.format().clone(), modes, vals.to_vec())?);
+    }
 
-                // Decode parent coordinates from dense offsets and rebuild
-                // the tensor (handles unsorted rows from unsorted kernels).
-                let parent_dims = &var.shape()[..l];
-                let parents: usize = parent_dims.iter().product();
-                let mut entries = Vec::with_capacity(nnz);
-                for p in 0..parents {
-                    let mut coord = vec![0usize; l];
-                    let mut rem = p;
-                    for (k, d) in parent_dims.iter().enumerate().rev() {
-                        coord[k] = rem % d;
-                        rem /= d;
-                    }
-                    let seg = pos.get(p..=p + 1).ok_or_else(|| {
-                        inconsistent(format!(
-                            "result pos has {} entries, expected {}",
-                            pos.len(),
-                            parents + 1
-                        ))
-                    })?;
-                    let (lo, hi) = (index(seg[0], "pos")?, index(seg[1], "pos")?);
-                    for q in lo..hi {
-                        let mut full = coord.clone();
-                        let c = crd.get(q).copied().ok_or_else(|| {
-                            inconsistent(format!(
-                                "result pos segment {lo}..{hi} exceeds crd length {}",
-                                crd.len()
-                            ))
-                        })?;
-                        let v = vals.get(q).ok_or_else(|| {
-                            inconsistent(format!(
-                                "result pos segment {lo}..{hi} exceeds value count {}",
-                                vals.len()
-                            ))
-                        })?;
-                        full.push(index(c, "crd")?);
-                        entries.push((full, *v));
-                    }
-                }
-                Ok(Tensor::from_entries(var.shape().to_vec(), var.format().clone(), entries)?)
-            }
-        },
+    // Fused and assembly kernels append the result: dense levels above one
+    // compressed level whose `pos`/`crd`/`vals` the kernel wrote. The
+    // kernel owns these arrays during the run, so their signs and relative
+    // sizes are untrusted.
+    let pos = b.int_array(&pos_name(name, l)).ok_or_else(missing)?;
+    let crd = b.int_array(&crd_name(name, l)).ok_or_else(missing)?;
+    let invalid = |detail: String| {
+        CoreError::Tensor(TensorError::InvalidStorage { level: l, detail })
+    };
+    let index = |what: &str, v: i64| {
+        usize::try_from(v)
+            .map_err(|_| invalid(format!("negative {what} value {v} in kernel output")))
+    };
+    let nnz = match nnz_output.and_then(|n| b.scalar_output(n)) {
+        Some(v) => index("nnz", v)?,
+        None => index("pos", pos.last().copied().unwrap_or(0))?,
+    };
+    let reported = |what: &str, len: usize| {
+        invalid(format!("kernel reported {nnz} result entries but {what} has {len}"))
+    };
+    let crd = crd.get(..nnz).ok_or_else(|| reported("crd", crd.len()))?;
+    let mut vals = if kind == KernelKind::Fused {
+        let all = b.f64_array(name).ok_or_else(missing)?;
+        all.get(..nnz).ok_or_else(|| reported("vals", all.len()))?.to_vec()
+    } else {
+        vec![0.0; nnz]
+    };
+    let pos = pos.iter().map(|&v| index("pos", v)).collect::<Result<Vec<_>>>()?;
+    let mut crd = crd.iter().map(|&v| index("crd", v)).collect::<Result<Vec<_>>>()?;
+    sort_segments(&pos, &mut crd, &mut vals);
+    let mut modes = dense_levels(&shape[..l]);
+    modes.push(ModeStorage::Compressed { pos, crd });
+    Ok(Tensor::try_from_parts(shape, var.format().clone(), modes, vals)?)
+}
+
+/// Sorts each `pos` segment of `crd` that is out of order, moving its
+/// values with it (unsorted-assembly kernels append in workspace order).
+/// Segments whose bounds are malformed are left for the structural check
+/// to report.
+fn sort_segments(pos: &[usize], crd: &mut [usize], vals: &mut [f64]) {
+    for w in pos.windows(2) {
+        let Some(seg) = crd.get_mut(w[0]..w[1]) else { continue };
+        if seg.is_sorted() {
+            continue;
+        }
+        let vals = &mut vals[w[0]..w[1]];
+        let mut pairs: Vec<(usize, f64)> = seg.iter().copied().zip(vals.iter().copied()).collect();
+        pairs.sort_unstable_by_key(|&(c, _)| c);
+        for ((c, v), (sc, sv)) in pairs.into_iter().zip(seg.iter_mut().zip(vals.iter_mut())) {
+            *sc = c;
+            *sv = v;
+        }
     }
 }

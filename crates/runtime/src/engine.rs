@@ -5,10 +5,11 @@ use crate::cache::{CacheStats, KernelCache};
 use crate::native::{Backend, NativeStore};
 use crate::tuner::{Autotuner, TuneDecision, TuneKey};
 use crate::{EngineError, Result};
+use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-use taco_core::candidates::enumerate_candidates;
+use taco_core::candidates::{enumerate_candidates, ScheduleCandidate};
 use taco_core::{
     CompiledKernel, CoreError, FallbackEvent, IndexStmt, ResourceBudget, Supervisor,
     SupervisedOutcome, VerifyMode,
@@ -507,10 +508,10 @@ impl Engine {
     /// [`EngineConfig::tuning_deadline`]; later candidates race under the
     /// remaining time.
     ///
-    /// The decision is remembered: later calls with the same key skip the
-    /// search (`tuned == false` in the outcome, one
-    /// [`EngineEvent::AutotuneReused`] logged) and go straight through the
-    /// kernel cache.
+    /// The decision is remembered with the winning statement itself: later
+    /// calls with the same key skip the search (`tuned == false` in the
+    /// outcome, one [`EngineEvent::AutotuneReused`] logged) and run that
+    /// statement straight through the kernel cache.
     ///
     /// # Errors
     ///
@@ -523,27 +524,11 @@ impl Engine {
         inputs: &[(&str, &Tensor)],
     ) -> Result<TunedOutcome> {
         let key = TuneKey::new(stmt, inputs);
-        if let Some(decision) = self.tuner.decision(&key) {
-            let schedule = decision.schedule;
-            let cand = enumerate_candidates(stmt)
-                .into_iter()
-                .find(|c| c.name == schedule)
-                .ok_or_else(|| EngineError::UnknownSchedule { schedule: schedule.clone() })?;
-            self.push_event(EngineEvent::AutotuneReused { key, schedule: schedule.clone() });
-            let opts = match decision.threads {
-                Some(n) => opts.with_threads(n),
-                None => opts,
-            };
-            let opts = opts.with_workspace_kind(cand.workspace_kind);
-            let converted = converted_operands(inputs, &cand.conversions)
-                .map_err(|e| EngineError::Core(CoreError::Tensor(e)))?;
-            let run_inputs: Vec<(&str, &Tensor)> = inputs
-                .iter()
-                .zip(&converted)
-                .map(|((n, t), c)| (*n, c.as_ref().unwrap_or(t)))
-                .collect();
-            let result = self.run(&cand.stmt, opts, &run_inputs)?;
-            return Ok(TunedOutcome { result, schedule, tuned: false });
+        if let Some(d) = self.tuner.decision(&key) {
+            self.push_event(EngineEvent::AutotuneReused { key, schedule: d.schedule.clone() });
+            let staged = Staged::new(&opts, d.workspace_kind, &d.conversions, inputs)?;
+            let result = self.run(&d.stmt, staged.opts(d.threads), &staged.inputs())?;
+            return Ok(TunedOutcome { result, schedule: d.schedule, tuned: false });
         }
 
         let started = Instant::now();
@@ -551,23 +536,19 @@ impl Engine {
         let total = candidates.len();
         let mut viable = 0usize;
         let mut pruned = 0usize;
-        type Best = (String, Option<usize>, WorkspaceKind, Vec<(String, Format)>, Tensor, u64);
-        let mut best: Option<Best> = None;
+        // The incumbent: candidate, pinned thread count, result, nanos.
+        let mut best: Option<(ScheduleCandidate, Option<usize>, Tensor, u64)> = None;
         // Measured peak allocation charge of the incumbent, for static
         // pruning (0 until a run reports one).
         let mut best_peak: u64 = 0;
         'candidates: for cand in candidates {
             // Format-conversion candidates run on converted copies of the
-            // named operands; a conversion that fails (or an identical
-            // format) simply leaves the original bound.
-            let Ok(converted) = converted_operands(inputs, &cand.conversions) else {
+            // named operands; a conversion that fails skips the candidate.
+            let Ok(staged) = Staged::new(&opts, cand.workspace_kind, &cand.conversions, inputs)
+            else {
                 continue;
             };
-            let cand_inputs: Vec<(&str, &Tensor)> = inputs
-                .iter()
-                .zip(&converted)
-                .map(|((n, t), c)| (*n, c.as_ref().unwrap_or(t)))
-                .collect();
+            let cand_inputs = staged.inputs();
             // Static pruning: once an incumbent has been timed, a candidate
             // whose *proven* peak allocation bound — evaluated against the
             // actual operands — is at least `TUNE_PRUNE_MARGIN` times the
@@ -575,8 +556,7 @@ impl Engine {
             // no timing upset can justify, so it is skipped without a run.
             // Unknown bounds are never pruned: degradation is conservative.
             if best_peak > 0 {
-                let prune_opts = opts.clone().with_workspace_kind(cand.workspace_kind);
-                if let Ok(kernel) = self.compile(&cand.stmt, prune_opts) {
+                if let Ok(kernel) = self.compile(&cand.stmt, staged.opts(None)) {
                     if let Ok(binding) = kernel.bind(&cand_inputs, None) {
                         if let Some(bound) = kernel.static_peak_bytes(&binding) {
                             if bound >= best_peak.saturating_mul(Self::TUNE_PRUNE_MARGIN) {
@@ -612,12 +592,7 @@ impl Engine {
                 if best.is_some() && remaining.is_zero() {
                     break 'candidates;
                 }
-                let run_opts = match threads {
-                    Some(n) => opts.clone().with_threads(n),
-                    None => opts.clone(),
-                };
-                let run_opts = run_opts.with_workspace_kind(cand.workspace_kind);
-                let Ok(kernel) = self.compile(&cand.stmt, run_opts) else {
+                let Ok(kernel) = self.compile(&cand.stmt, staged.opts(threads)) else {
                     continue;
                 };
                 // Timing a candidate once makes the decision hostage to a
@@ -684,30 +659,24 @@ impl Engine {
                     95
                 };
                 if best.as_ref().is_none_or(|(.., b)| nanos * 100 < *b * margin) {
-                    best = Some((
-                        cand.name.clone(),
-                        threads,
-                        cand.workspace_kind,
-                        cand.conversions.clone(),
-                        result,
-                        nanos,
-                    ));
+                    best = Some((cand.clone(), threads, result, nanos));
                     best_peak = peak;
                 }
             }
         }
-        let Some((schedule, threads, workspace_kind, conversions, result, best_nanos)) = best
-        else {
+        let Some((winner, threads, result, best_nanos)) = best else {
             return Err(EngineError::NoViableCandidate { candidates: total });
         };
+        let schedule = winner.name;
         self.tuner.record(
             key,
             TuneDecision {
                 schedule: schedule.clone(),
+                stmt: winner.stmt,
                 best_nanos,
                 threads,
-                workspace_kind,
-                conversions,
+                workspace_kind: winner.workspace_kind,
+                conversions: winner.conversions,
                 candidates: total,
                 viable,
             },
@@ -760,18 +729,43 @@ impl Engine {
     }
 }
 
-/// Per-input converted operand for one candidate: `Some(tensor)` where a
-/// conversion names the input and actually changes its format, `None` where
-/// the original binds as-is.
-fn converted_operands(
-    inputs: &[(&str, &Tensor)],
-    conversions: &[(String, Format)],
-) -> std::result::Result<Vec<Option<Tensor>>, taco_tensor::TensorError> {
-    inputs
-        .iter()
-        .map(|(name, t)| match conversions.iter().find(|(n, _)| n == name) {
-            Some((_, f)) if t.format() != f => t.convert(f.clone()).map(Some),
-            _ => Ok(None),
-        })
-        .collect()
+/// One schedule made runnable on the caller's operands: the caller's
+/// options with the schedule's workspace kind, and every operand its
+/// conversions name in the target format. The tuning search and the reuse
+/// of a remembered decision both run schedules through it.
+struct Staged<'a> {
+    opts: LowerOptions,
+    inputs: Vec<(&'a str, Cow<'a, Tensor>)>,
+}
+
+impl<'a> Staged<'a> {
+    fn new(
+        opts: &LowerOptions,
+        kind: WorkspaceKind,
+        conversions: &[(String, Format)],
+        inputs: &[(&'a str, &'a Tensor)],
+    ) -> Result<Staged<'a>> {
+        let inputs = inputs
+            .iter()
+            .map(|&(name, t)| match conversions.iter().find(|(n, _)| n == name) {
+                Some((_, f)) if t.format() != f => Ok((name, Cow::Owned(t.convert(f.clone())?))),
+                _ => Ok((name, Cow::Borrowed(t))),
+            })
+            .collect::<std::result::Result<_, taco_tensor::TensorError>>()
+            .map_err(|e| EngineError::Core(CoreError::Tensor(e)))?;
+        Ok(Staged { opts: opts.clone().with_workspace_kind(kind), inputs })
+    }
+
+    /// The options, pinned to `threads` workers when given.
+    fn opts(&self, threads: Option<usize>) -> LowerOptions {
+        match threads {
+            Some(n) => self.opts.clone().with_threads(n),
+            None => self.opts.clone(),
+        }
+    }
+
+    /// The operands to bind.
+    fn inputs(&self) -> Vec<(&str, &Tensor)> {
+        self.inputs.iter().map(|(n, t)| (*n, t.as_ref())).collect()
+    }
 }

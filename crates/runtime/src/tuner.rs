@@ -106,12 +106,14 @@ fn sparsity_bucket(inputs: &[(&str, &Tensor)]) -> u8 {
 }
 
 /// A remembered winner for one [`TuneKey`].
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct TuneDecision {
     /// Name of the winning candidate (see
-    /// [`taco_core::candidates::ScheduleCandidate::name`]); stable across
-    /// runs, so the engine re-derives the schedule from the candidate set.
+    /// [`taco_core::candidates::ScheduleCandidate::name`]), for logs and
+    /// reports.
     pub schedule: String,
+    /// The winning scheduled statement; reuse compiles and runs it as is.
+    pub stmt: IndexStmt,
     /// Measured wall-clock nanoseconds of the winner during tuning.
     pub best_nanos: u64,
     /// Pinned worker-thread count of the winner, when the winning schedule

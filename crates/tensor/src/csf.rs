@@ -108,7 +108,7 @@ impl Csf3 {
             crate::storage::check_crd_level(pos, crd, parent_positions, dim, true, true, level)?;
             parent_positions = crd.len();
         }
-        crate::storage::check_vals_level(&self.vals, parent_positions, 2)?;
+        crate::storage::check_vals_level(&self.vals, parent_positions, 2, true)?;
         Ok(())
     }
 

@@ -88,7 +88,7 @@ impl Csr {
         crate::storage::check_crd_level(
             &self.pos, &self.crd, self.nrows, self.ncols, false, false, 1,
         )?;
-        crate::storage::check_vals_level(&self.vals, self.crd.len(), 1)?;
+        crate::storage::check_vals_level(&self.vals, self.crd.len(), 1, true)?;
         Ok(())
     }
 

@@ -122,8 +122,14 @@ pub(crate) fn check_crd_level(
     Ok(())
 }
 
-/// Value-array invariants: one value per innermost position, all finite.
-pub(crate) fn check_vals_level(vals: &[f64], positions: usize, level: usize) -> Result<()> {
+/// Value-array invariants: one value per innermost position, all finite
+/// when `finite` is set.
+pub(crate) fn check_vals_level(
+    vals: &[f64],
+    positions: usize,
+    level: usize,
+    finite: bool,
+) -> Result<()> {
     let bad = |detail: String| Err(TensorError::InvalidStorage { level, detail });
     if vals.len() != positions {
         return bad(format!(
@@ -131,7 +137,8 @@ pub(crate) fn check_vals_level(vals: &[f64], positions: usize, level: usize) -> 
             vals.len()
         ));
     }
-    if let Some(q) = vals.iter().position(|v| !v.is_finite()) {
+    let non_finite = if finite { vals.iter().position(|v| !v.is_finite()) } else { None };
+    if let Some(q) = non_finite {
         return bad(format!("non-finite value {} at position {q}", vals[q]));
     }
     Ok(())
@@ -195,6 +202,26 @@ impl Tensor {
         Tensor { shape, format, modes, vals }
     }
 
+    /// Creates a tensor from its level storage and values, checking every
+    /// invariant [`Tensor::validate`] checks except that the values are
+    /// finite: a computed result may overflow to infinity or carry a NaN,
+    /// which an operand may not. This is how kernel output is adopted.
+    ///
+    /// # Errors
+    ///
+    /// Returns the error [`Tensor::validate`] would return for the first
+    /// violated structural invariant.
+    pub fn try_from_parts(
+        shape: Vec<usize>,
+        format: Format,
+        modes: Vec<ModeStorage>,
+        vals: Vec<f64>,
+    ) -> Result<Self> {
+        let t = Tensor { shape, format, modes, vals };
+        t.check(false)?;
+        Ok(t)
+    }
+
     /// Decomposes the tensor into `(shape, format, modes, vals)`.
     pub fn into_parts(self) -> (Vec<usize>, Format, Vec<ModeStorage>, Vec<f64>) {
         (self.shape, self.format, self.modes, self.vals)
@@ -227,6 +254,12 @@ impl Tensor {
     /// Returns [`TensorError::InvalidStorage`] describing the first violated
     /// invariant.
     pub fn validate(&self) -> Result<()> {
+        self.check(true)
+    }
+
+    /// [`Tensor::validate`], with the finiteness of the values checked only
+    /// when `finite_vals` is set.
+    fn check(&self, finite_vals: bool) -> Result<()> {
         let bad = |level: usize, detail: String| {
             Err(TensorError::InvalidStorage { level, detail })
         };
@@ -315,7 +348,7 @@ impl Tensor {
                 }
             }
         }
-        check_vals_level(&self.vals, parent_positions, self.rank() - 1)?;
+        check_vals_level(&self.vals, parent_positions, self.rank() - 1, finite_vals)?;
         if self.format.has_singleton() && !self.format.has_hashed() {
             // Singleton chains hide per-component coordinates in non-unique
             // levels; confirm the stored tuples are strictly increasing in
@@ -856,5 +889,22 @@ mod tests {
             vec![1.0, 2.0, 3.0],
         );
         assert!(bad.validate().is_err());
+    }
+
+    /// Adopted kernel output keeps `validate`'s structural checks but not
+    /// its finiteness check.
+    #[test]
+    fn try_from_parts_checks_structure_but_not_finiteness() {
+        let csr = |crd: Vec<usize>| {
+            vec![ModeStorage::Dense { dim: 2 }, ModeStorage::Compressed { pos: vec![0, 2, 2], crd }]
+        };
+        let vals = vec![f64::INFINITY, f64::NAN];
+        let t = Tensor::try_from_parts(vec![2, 2], Format::csr(), csr(vec![0, 1]), vals.clone())
+            .unwrap();
+        assert!(t.validate().is_err(), "operands must still be finite");
+        for crd in [vec![1, 1], vec![1, 0], vec![0, 2]] {
+            let r = Tensor::try_from_parts(vec![2, 2], Format::csr(), csr(crd), vals.clone());
+            assert!(matches!(r, Err(TensorError::InvalidStorage { level: 1, .. })));
+        }
     }
 }

@@ -116,6 +116,7 @@ fn unsorted_assembly_has_same_rows_modulo_order() {
     // unsorted kernel must not drop or duplicate entries.
     assert_eq!(s.nnz(), u.nnz());
     assert!(s.approx_eq(&u, 1e-12));
+    assert_eq!(s, u);
 }
 
 /// The workspace guard array prevents duplicate coordinates even when many

@@ -5,7 +5,7 @@
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
 use taco_core::oracle::eval_dense;
-use taco_runtime::{entry_weight, KernelCache};
+use taco_runtime::{entry_weight, KernelCache, TuneDecision};
 use taco_tensor::gen::random_csr;
 use taco_workspaces::prelude::*;
 
@@ -182,6 +182,43 @@ fn autotuner_picks_workspace_schedule_and_tunes_once_per_key() {
         events.iter().any(|e| matches!(e, EngineEvent::AutotuneReused { .. })),
         "reuse must be logged: {events:?}"
     );
+}
+
+/// A remembered decision carries its statement: reuse runs it as recorded,
+/// even when its name matches no candidate the tuner would enumerate.
+#[test]
+fn reuse_runs_the_recorded_statement() {
+    let n = 24;
+    let stmt = unscheduled_spgemm(n);
+    let (b, c) = operands(n);
+    let inputs: Vec<(&str, &Tensor)> = vec![("B", &b), ("C", &c)];
+    let schedule = "hand: reorder(k,j) + precompute(j) into w".to_string();
+    assert!(
+        taco_core::enumerate_candidates(&stmt).iter().all(|c| c.name != schedule),
+        "the recorded name must be outside the candidate space"
+    );
+
+    let engine = Engine::new();
+    engine.tuner().record(
+        TuneKey::new(&stmt, &inputs),
+        TuneDecision {
+            schedule: schedule.clone(),
+            stmt: scheduled_spgemm(n),
+            best_nanos: 1,
+            threads: None,
+            workspace_kind: WorkspaceKind::Dense,
+            conversions: Vec::new(),
+            candidates: 0,
+            viable: 1,
+        },
+    );
+
+    let out = engine.run_tuned(&stmt, LowerOptions::fused("spgemm"), &inputs).unwrap();
+    assert!(!out.tuned, "the recorded decision must be reused, not re-searched");
+    assert_eq!(out.schedule, schedule);
+    let oracle = eval_dense(stmt.source(), &inputs).unwrap();
+    assert!(out.result.to_dense().approx_eq(&oracle, 1e-10));
+    assert_eq!(engine.tuner().tunings(), 1, "only the recorded decision counts");
 }
 
 #[test]

@@ -12,7 +12,8 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;
 use taco_workspaces::core::oracle::eval_dense;
 use taco_workspaces::prelude::*;
-use taco_workspaces::tensor::{corrupt, gen};
+use taco_workspaces::llir::Binding;
+use taco_workspaces::tensor::{corrupt, gen, TensorError};
 
 fn iv(n: &str) -> IndexVar {
     IndexVar::new(n)
@@ -744,4 +745,65 @@ fn over_budget_spgemm_completes_through_a_sparse_workspace_rung() {
     }
     let got = kernel.run(&[("B", &b), ("C", &c)]).unwrap();
     assert_eq!(got, expect, "downgraded kernel must be byte-identical");
+}
+
+/// Extraction adopts the kernel's result buffers, so it must reject every
+/// malformed `pos`/`crd`/`vals` with a typed storage error, never a panic
+/// and never a silently repaired tensor.
+#[test]
+fn corrupted_result_buffers_error_at_extraction() {
+    let n = 16;
+    let kernel = scheduled_spgemm(n).compile(LowerOptions::fused("spgemm")).unwrap();
+    let (b, c) = sample_inputs(n);
+    let mut ran = kernel.bind(&[("B", &b), ("C", &c)], None).unwrap();
+    kernel.run_bound(&mut ran).unwrap();
+    kernel.extract(&ran, None).expect("the uncorrupted result extracts");
+
+    let pos = ran.int_array("A2_pos").unwrap().to_vec();
+    let crd = ran.int_array("A2_crd").unwrap().to_vec();
+    let nnz = *pos.last().unwrap() as usize;
+    // A row boundary strictly inside the result, and a row with two
+    // entries.
+    let inner = (1..n).find(|&p| pos[p] < pos[p + 1]).expect("a nonempty row after row 0");
+    let wide = (0..n).find(|&p| pos[p + 1] - pos[p] >= 2).expect("a row with two entries");
+    let lo = pos[wide] as usize;
+
+    let negative = |b: &mut Binding| set(b, "A2_pos", &pos, 1, -1);
+    let non_monotone = |b: &mut Binding| {
+        let mut p = pos.clone();
+        p.swap(inner, inner + 1);
+        b.set_int("A2_pos", p);
+    };
+    let past_crd = |b: &mut Binding| set(b, "A2_pos", &pos, n, crd.len() as i64 + 1);
+    let out_of_bounds = |b: &mut Binding| set(b, "A2_crd", &crd, lo, n as i64);
+    let repeated = |b: &mut Binding| set(b, "A2_crd", &crd, lo + 1, crd[lo]);
+    let short_vals = |b: &mut Binding| {
+        let vals = b.f64_array("A").unwrap()[..nnz - 1].to_vec();
+        b.set_f64("A", vals);
+    };
+    type Corruption<'a> = &'a dyn Fn(&mut Binding);
+    let cases: [(&str, Corruption); 6] = [
+        ("negative pos entry", &negative),
+        ("non-monotone pos", &non_monotone),
+        ("pos ending past crd", &past_crd),
+        ("crd out of bounds", &out_of_bounds),
+        ("repeated coordinate", &repeated),
+        ("nnz larger than vals", &short_vals),
+    ];
+    for (what, corrupt) in cases {
+        let mut binding = ran.clone();
+        corrupt(&mut binding);
+        match catch_unwind(AssertUnwindSafe(|| kernel.extract(&binding, None))) {
+            Ok(Err(CoreError::Tensor(TensorError::InvalidStorage { level: 1, .. }))) => {}
+            Ok(other) => panic!("{what}: expected a level-1 storage error, got {other:?}"),
+            Err(_) => panic!("{what}: extraction panicked"),
+        }
+    }
+
+    /// Overwrites element `at` of a copy of `arr` and binds it as `name`.
+    fn set(b: &mut Binding, name: &str, arr: &[i64], at: usize, v: i64) {
+        let mut a = arr.to_vec();
+        a[at] = v;
+        b.set_int(name, a);
+    }
 }

@@ -359,6 +359,7 @@ fn recorded_conversion_decision_replays_through_the_reuse_path() {
         TuneKey::new(&stmt, &inputs),
         TuneDecision {
             schedule: conv.name.clone(),
+            stmt: conv.stmt.clone(),
             best_nanos: 1,
             threads: None,
             workspace_kind: conv.workspace_kind,
